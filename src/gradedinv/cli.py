@@ -23,13 +23,7 @@ from .dsl import ScriptError, Session, parse_script
 from .groebner import ring_map_kernel
 from .hilbert import hilbert_series
 from .resolution import betti_table
-from .theorems import (
-    ALL_CHECKS,
-    builtin_instances,
-    invariant_report,
-    run_suite,
-    suite_verdicts_for_instance,
-)
+from .theorems import ALL_CHECKS, invariant_report, run_suite
 
 DEFAULT_SEED = 2024
 
@@ -249,23 +243,7 @@ def cmd_check(args):
 
 def cmd_suite(args):
     seed = _seed(args)
-    if args.parallel and args.parallel > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        names = sorted(i.name for i in builtin_instances())
-        verdicts = []
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            for batch in pool.map(
-                suite_verdicts_for_instance, names, [seed] * len(names)
-            ):
-                verdicts.extend(batch)
-        from .theorems import builtin_rings, check_min_mult_equivalences
-
-        for ring in builtin_rings():
-            verdicts.append(check_min_mult_equivalences(ring, random.Random(seed)))
-        verdicts.sort(key=lambda v: (v.instance, v.theorem_id))
-    else:
-        verdicts = run_suite(seed)
+    verdicts = run_suite(seed, workers=args.parallel or 1)
     payload = _envelope(
         seed,
         [{"name": n} for n in sorted({v.instance for v in verdicts})],

@@ -7,6 +7,7 @@ from .core import (
     GradedPolyRing,
     GradedQuotientPresentation,
     Polynomial,
+    left_nullspace,
     mono_divides,
 )
 from .groebner import (
@@ -52,38 +53,6 @@ def degree_slot_basis(A, n):
         if not any(mono_divides(lm, e) for lm in leads):
             basis.append(e)
     return basis
-
-
-def _left_nullspace(rows, fld):
-    """Vectors c with sum_k c_k rows[k] = 0, by Gaussian elimination."""
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    M = [[rows[r][c] for r in range(nr)] for c in range(nc)]
-    piv = {}
-    rank = 0
-    for col in range(nr):
-        pr = next((r for r in range(rank, nc) if M[r][col]), None)
-        if pr is None:
-            continue
-        M[rank], M[pr] = M[pr], M[rank]
-        inv = fld.inv(M[rank][col])
-        M[rank] = [fld.mul(x, inv) for x in M[rank]]
-        for r in range(nc):
-            if r != rank and M[r][col]:
-                f = M[r][col]
-                M[r] = [fld.sub(x, fld.mul(f, y)) for x, y in zip(M[r], M[rank])]
-        piv[col] = rank
-        rank += 1
-    out = []
-    for free_col in range(nr):
-        if free_col in piv:
-            continue
-        vec = [fld.zero()] * nr
-        vec[free_col] = fld.coerce(1)
-        for col, r in piv.items():
-            vec[col] = fld.neg(M[r][free_col])
-        out.append(vec)
-    return out
 
 
 def _monomials_of_degree(nvars, t):
@@ -175,7 +144,7 @@ def _veronese_kernel(A, n, ambient_src, basis, max_source_degree=8):
                     vec[mono_index[mono]] = cf
                 _rref_insert(old_span, vec, fld)
         new = 0
-        for coeffs in _left_nullspace(rows, fld):
+        for coeffs in left_nullspace(rows, fld):
             reduced = _rref_insert(old_span, coeffs, fld)
             if reduced is None:
                 continue

@@ -1,5 +1,8 @@
 """Exact coefficient fields, monomials, term orders, and graded polynomial rings.
 
+Also `left_nullspace`, the exact elimination over a field that the Veronese
+kernel and the exponent-lattice solver share.
+
 Everything here is immutable after construction and safe to share between
 threads.  Coefficients are `fractions.Fraction` over the rationals and plain
 ints in [0, p) over a prime field.
@@ -106,6 +109,43 @@ def GF(p):
 
 
 # ---------------------------------------------------------------------------
+# Exact linear algebra over a FieldSpec.
+
+
+def left_nullspace(rows, fld):
+    """A basis of {c : sum_k c_k rows[k] = 0} over fld, by Gauss-Jordan
+    elimination of the transposed matrix.  Entries must lie in fld."""
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    M = [[rows[r][c] for r in range(nr)] for c in range(nc)]
+    piv = {}
+    rank = 0
+    for col in range(nr):
+        pr = next((r for r in range(rank, nc) if M[r][col]), None)
+        if pr is None:
+            continue
+        M[rank], M[pr] = M[pr], M[rank]
+        inv = fld.inv(M[rank][col])
+        M[rank] = [fld.mul(x, inv) for x in M[rank]]
+        for r in range(nc):
+            if r != rank and M[r][col]:
+                f = M[r][col]
+                M[r] = [fld.sub(x, fld.mul(f, y)) for x, y in zip(M[r], M[rank])]
+        piv[col] = rank
+        rank += 1
+    out = []
+    for free_col in range(nr):
+        if free_col in piv:
+            continue
+        vec = [fld.zero()] * nr
+        vec[free_col] = fld.coerce(1)
+        for col, r in piv.items():
+            vec[col] = fld.neg(M[r][free_col])
+        out.append(vec)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Monomials: plain tuples of non-negative ints, one slot per ring variable.
 
 
@@ -130,10 +170,6 @@ def mono_divides(b, a):
 
 def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
 
 
 def mono_degree(a, weights=None):

@@ -214,10 +214,11 @@ def _inject(poly, big_ring, offset):
 
 
 def _restrict(poly, small_ring, offset):
-    """Drop the first `offset` variables; caller guarantees they are absent."""
+    """Drop the first `offset` variables; ValueError if one of them occurs."""
     out = {}
     for m, c in poly.terms.items():
-        assert all(e == 0 for e in m[:offset])
+        if any(m[:offset]):
+            raise ValueError("a dropped variable occurs in %r" % poly)
         out[m[offset:]] = c
     return Polynomial(small_ring, out)
 
@@ -248,10 +249,7 @@ def ideal_quotient(I_gens, f, order=DEGREVLEX):
         a0 = s.component(0)
         if not a0.is_zero():
             out.append(a0)
-    if not out:
-        out = []
-    gb = groebner_basis(out, order) if out else None
-    return list(gb) if gb else []
+    return list(groebner_basis(out, order)) if out else []
 
 
 def ideal_quotient_ideal(I_gens, J_gens, order=DEGREVLEX):
@@ -348,8 +346,6 @@ class GradedRingMap:
         return out
 
     def is_well_defined(self):
-        if not self.target.ideal_gens:
-            return all(self.apply(g).is_zero() for g in self.source.ideal_gens)
         return all(self.apply(g).is_zero() for g in self.source.ideal_gens)
 
     def graph_ring(self):

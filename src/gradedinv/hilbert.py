@@ -196,22 +196,6 @@ class HilbertSeries:
                 coeffs[i] += coeffs[i - w]
         return coeffs
 
-    def cancelled(self):
-        """(numerator, weights) after removing all shared (1 - t^w) factors."""
-        num = self.numerator
-        weights = list(self.denominator_weights)
-        changed = True
-        while changed and not num.is_zero():
-            changed = False
-            for w in sorted(set(weights), reverse=True):
-                q = num.try_divide_one_minus_t(w)
-                if q is not None:
-                    num = q
-                    weights.remove(w)
-                    changed = True
-                    break
-        return num, tuple(weights)
-
     def fastpath_a_invariant(self):
         """deg(numerator) - sum(denominator weights); valid for CM algebras."""
         if self.numerator.is_zero():

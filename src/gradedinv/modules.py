@@ -80,9 +80,6 @@ class ModuleVector:
     def components(self):
         return [self.component(i) for i in range(self.rank)]
 
-    def support(self):
-        return {i for (i, _m) in self.terms}
-
     def degree(self, shifts=None):
         """Degree of a homogeneous vector; shifts[i] is the degree of e_i."""
         if not self.terms:
@@ -94,15 +91,6 @@ class ModuleVector:
         if len(degs) != 1:
             raise ValueError("vector is not homogeneous")
         return degs.pop()
-
-    def is_homogeneous(self, shifts=None):
-        if not self.terms:
-            return True
-        w = self.ring.weights
-        degs = {
-            mono_degree(m, w) + (shifts[i] if shifts else 0) for (i, m) in self.terms
-        }
-        return len(degs) == 1
 
     def __repr__(self):
         return "(" + ", ".join(repr(c) for c in self.components()) + ")"

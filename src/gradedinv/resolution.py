@@ -3,7 +3,7 @@
 Resolutions are built iteratively: minimal generators, syzygies, minimal
 generators of the syzygies, and so on.  Because every stage starts from a
 minimal generating set, the differentials automatically have all entries in
-the irrelevant maximal ideal; this is asserted, not assumed.
+the irrelevant maximal ideal; FreeResolution checks this on construction.
 
 Also houses the Jacobian-ideal singular locus test (R1) and a
 parameter-colength Cohen-Macaulay certificate for presentations too large
@@ -70,12 +70,18 @@ class FreeResolution:
 
     shifts[i] lists the generator degrees of F_i.  matrices[i] is the map
     F_{i+1} -> F_i as a rank(F_i) x rank(F_{i+1}) matrix of polynomials.
+    A non-minimal differential or a length above the variable count is an
+    internal fault and raises RuntimeError.
     """
 
     def __init__(self, ring, shifts, matrices):
         self.ring = ring
         self.shifts = [list(s) for s in shifts]
         self.matrices = matrices
+        if not self.is_minimal():
+            raise RuntimeError("non-minimal differential produced")
+        if self.length > ring.nvars:
+            raise RuntimeError("resolution longer than the variable count")
 
     @property
     def length(self):
@@ -141,10 +147,7 @@ def minimal_free_resolution(A, order=DEGREVLEX):
         syz = syzygy_module(current, rank, order)
         current = minimal_generators(syz, len(col_shifts), shifts=col_shifts, order=order)
         cur_shifts = col_shifts
-    res = FreeResolution(ring, shifts, matrices)
-    assert res.is_minimal(), "non-minimal differential produced"
-    assert res.length <= ring.nvars, "resolution longer than the variable count"
-    return res
+    return FreeResolution(ring, shifts, matrices)
 
 
 def betti_table(A, order=DEGREVLEX):
@@ -195,18 +198,14 @@ class CanonicalModulePresentation:
         )
 
 
-def canonical_module(A, order=DEGREVLEX):
-    """Presentation of the graded canonical module of A."""
-    from .hilbert import krull_dimension
-
-    ring = A.ring
+def canonical_module(res, d, order=DEGREVLEX):
+    """Canonical module of a nonzero A = S/I, given its minimal free
+    resolution `res` and its Krull dimension d: res is dualized at
+    homological index n - d."""
+    ring = res.ring
     n = ring.nvars
-    d = krull_dimension(A)
-    if d < 0:
-        raise ValueError("canonical module of the zero ring")
     c = n - d
     sigma = sum(ring.weights)
-    res = minimal_free_resolution(A, order)
     if c > res.length:
         raise ValueError("Ext index %d exceeds projective dimension %d" % (c, res.length))
 
@@ -254,7 +253,13 @@ def canonical_module(A, order=DEGREVLEX):
 
 def a_invariant(A, order=DEGREVLEX):
     """a(A) = -(initial degree of the graded canonical module)."""
-    return -canonical_module(A, order).initial_degree
+    from .hilbert import krull_dimension
+
+    d = krull_dimension(A)
+    if d < 0:
+        raise ValueError("canonical module of the zero ring")
+    res = minimal_free_resolution(A, order)
+    return -canonical_module(res, d, order).initial_degree
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +416,3 @@ def _colength_bound(artinian):
             raise ValueError("quotient is not Artinian")
         bound += (min(pures) - 1) * weights[j]
     return max(bound, 0)
-
-
-def certified_cohen_macaulay(A, rng=None):
-    """CM check choosing the route by size: resolution when feasible,
-    parameter colength otherwise (standard graded only in that case)."""
-    if A.ring.nvars <= 6 or not A.is_standard_graded:
-        return is_cohen_macaulay(A)
-    return cm_certificate_by_parameters(A, rng)

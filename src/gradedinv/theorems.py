@@ -5,16 +5,22 @@ a concrete extension instance, reporting a hypothesis checklist, both sides
 of the comparison, and a conclusion.  A failed inequality with a violated
 hypothesis is reported as "counterexample-consistent", not as an error.
 
-Large presentations (more than SMALL_RING_VARS ambient variables) are out of
-reach for iterated syzygies, so their Cohen-Macaulayness is certified by the
-parameter-colength criterion and the a-invariant and regularity are then read
-off the Hilbert series (a = deg N - sum w, reg = a + dim); both identities
-are exact for certified-CM algebras and are cross-checked against the
-resolution route on every small instance.
+Every invariant of a ring comes from its RingRoute, which picks one of two
+routes from the ambient variable count and computes each invariant at most
+once.  Rings with at most SMALL_RING_VARS variables take the "resolution"
+route: one minimal free resolution gives depth, CM and regularity, and the
+same resolution is dualized for the canonical module and a.  Larger rings
+are out of reach for iterated syzygies and take the "parameter-certified"
+route: one parameter-colength certificate decides CM (standard gradings;
+weighted ones are still resolved), and a and reg are read off the Hilbert
+series (a = deg N - sum w, reg = a + dim).  Both identities are exact for
+certified-CM algebras and are cross-checked against the resolution route on
+every small instance; a or reg of a large non-CM ring raises ValueError.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import comb, floor
 from typing import Optional
 
@@ -40,12 +46,11 @@ from .groebner import (
 )
 from .hilbert import hilbert_series, krull_dimension, multiplicity
 from .resolution import (
-    a_invariant,
-    betti_table,
+    canonical_module,
     cm_certificate_by_parameters,
     embedding_dimension,
-    is_cohen_macaulay,
     linear_system_of_parameters,
+    minimal_free_resolution,
     singular_locus_dimension,
 )
 from .toric import inseparable_degree, lattice_of_monomial_algebra
@@ -53,6 +58,9 @@ from .toric import inseparable_degree, lattice_of_monomial_algebra
 # Resolutions are attempted up to this many ambient variables; beyond it the
 # parameter-certified Hilbert-series route takes over.
 SMALL_RING_VARS = 6
+# The two routes, as named in an invariant report's `route` field.
+RESOLUTION = "resolution"
+PARAMETER_CERTIFIED = "parameter-certified"
 
 # Cap on the number of Jacobian minors expanded for the R1 test.
 MINOR_BUDGET = 4000
@@ -80,7 +88,7 @@ class InvariantReport:
     is_r1: Optional[bool]
     has_min_mult: Optional[bool]
     hilbert: object
-    route: str = "resolution"
+    route: str = RESOLUTION
 
     def to_dict(self):
         return {
@@ -155,34 +163,70 @@ def _finish(theorem_id, instance, hyps, lhs, rhs, ok, notes=""):
 
 
 # ---------------------------------------------------------------------------
-# Invariant aggregation with size-dependent routing.
+# Routing: each ring's invariants come from one place, each computed once.
 
 
-def a_invariant_auto(A, rng=None):
-    """a(A) by the canonical-module route when feasible, else CM fast path."""
-    if A.ring.nvars <= SMALL_RING_VARS:
-        return a_invariant(A)
-    if not certified_cm(A, rng):
-        raise ValueError(
-            "a-invariant of a large non-CM presentation is out of desk-scale reach"
-        )
-    return hilbert_series(A).fastpath_a_invariant()
+class RingRoute:
+    """The route by which the invariants of one presentation are computed.
 
+    `route` is decided once, from the variable count.  dim, depth, is_cm,
+    regularity and a are computed on first use and kept on the object, so
+    each is computed at most once per route.  A check builds one route per
+    ring and reads everything from it; nothing outlives the object.
+    """
 
-def certified_cm(A, rng=None):
-    if A.ring.nvars <= SMALL_RING_VARS or not A.is_standard_graded:
-        return is_cohen_macaulay(A)
-    return cm_certificate_by_parameters(A, rng)
+    def __init__(self, A, rng=None):
+        self.A = A
+        self.rng = rng or random.Random(0)
+        self.route = RESOLUTION if A.ring.nvars <= SMALL_RING_VARS else PARAMETER_CERTIFIED
 
+    @cached_property
+    def hilbert(self):
+        return hilbert_series(self.A)
 
-def regularity_auto(A, rng=None):
-    if not A.is_standard_graded:
-        return None
-    if A.ring.nvars <= SMALL_RING_VARS:
-        return betti_table(A).regularity()
-    if certified_cm(A, rng):
-        return hilbert_series(A).fastpath_a_invariant() + krull_dimension(A)
-    raise ValueError("regularity of a large non-CM presentation is out of reach")
+    @cached_property
+    def dim(self):
+        return self.hilbert.dimension()
+
+    @cached_property
+    def resolution(self):
+        return minimal_free_resolution(self.A)
+
+    @cached_property
+    def depth(self):
+        """Auslander-Buchsbaum depth; a large ring's is known only when CM."""
+        if self.route == RESOLUTION:
+            return self.A.ring.nvars - self.resolution.length
+        return self.dim if self.is_cm else None
+
+    @cached_property
+    def is_cm(self):
+        if self.route == RESOLUTION or not self.A.is_standard_graded:
+            return self.A.ring.nvars - self.resolution.length == self.dim
+        return cm_certificate_by_parameters(self.A, self.rng)
+
+    @cached_property
+    def a(self):
+        if self.route == RESOLUTION:
+            if self.dim < 0:
+                raise ValueError("canonical module of the zero ring")
+            return -canonical_module(self.resolution, self.dim).initial_degree
+        if not self.is_cm:
+            raise ValueError(
+                "a-invariant of a large non-CM presentation is out of desk-scale reach"
+            )
+        return self.hilbert.fastpath_a_invariant()
+
+    @cached_property
+    def regularity(self):
+        """Castelnuovo-Mumford regularity; None for weighted gradings."""
+        if not self.A.is_standard_graded:
+            return None
+        if self.route == RESOLUTION:
+            return self.resolution.betti_table().regularity()
+        if not self.is_cm:
+            raise ValueError("regularity of a large non-CM presentation is out of reach")
+        return self.a + self.dim
 
 
 def r1_status(A):
@@ -202,35 +246,23 @@ def r1_status(A):
 
 def invariant_report(A, rng=None):
     """Aggregate dim, depth, edim, e, reg, a, CM, R1, and min-mult."""
-    rng = rng or random.Random(0)
-    hs = hilbert_series(A)
-    d = hs.dimension()
+    route = RingRoute(A, rng)
+    d = route.dim
     std = A.is_standard_graded
-    small = A.ring.nvars <= SMALL_RING_VARS
 
     edim = embedding_dimension(A) if std else None
     mult = multiplicity(A) if std else None
 
-    if small:
-        bt = betti_table(A)
-        pd = bt.projective_dimension()
-        dep = A.ring.nvars - pd
-        cm = dep == d
-        reg = bt.regularity() if std else None
-        a = a_invariant(A)
-        route = "resolution"
-    else:
-        cm = certified_cm(A, rng)
-        dep = d if cm else None
-        a = a_invariant_auto(A, rng)
-        reg = (a + d) if (std and cm) else None
-        route = "parameter-certified"
-
+    cm = route.is_cm
+    a = route.a
     r1, _ = r1_status(A)
     min_mult = None
     if std and (cm or A.asserted_domain):
         min_mult = mult == edim - d + 1
-    return InvariantReport(d, dep, edim, mult, reg, a, cm, r1, min_mult, hs, route)
+    return InvariantReport(
+        d, route.depth, edim, mult, route.regularity, a, cm, r1, min_mult,
+        route.hilbert, route.route,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +293,17 @@ def check_separable_bound(inst, rng=None):
             NOT_APPLICABLE, "separability claim is %r" % inst.separability_claim,
         )
     rng = rng or random.Random(0)
+    ra, rb = RingRoute(inst.A, rng), RingRoute(inst.B, rng)
     hyps = _common_hypotheses(inst)
     hyps.append(("separable extension", USER_ASSERTED))
     r1, status = r1_status(inst.A)
     hyps.append(("A regular in codimension one", status))
-    a_A = a_invariant_auto(inst.A, rng)
-    a_B = a_invariant_auto(inst.B, rng)
+    a_A, a_B = ra.a, rb.a
     notes = ""
     ok = a_A <= a_B
-    if inst.A.is_standard_graded and certified_cm(inst.A, rng):
-        d = krull_dimension(inst.A)
-        reg_A = regularity_auto(inst.A, rng)
-        reg_B = regularity_auto(inst.B, rng)
+    if inst.A.is_standard_graded and ra.is_cm:
+        d = ra.dim
+        reg_A, reg_B = ra.regularity, rb.regularity
         reg_ok = reg_A <= a_B + d <= reg_B
         notes = "reg A = %d, a(B)+d = %d, reg B = %d (%s)" % (
             reg_A, a_B + d, reg_B, "holds" if reg_ok else "fails",
@@ -292,7 +323,8 @@ def check_dim2_bound(inst, rng=None):
         )
     if inst.p_power is None:
         raise ValueError("instance %s carries no inseparable degree p^e" % inst.name)
-    dA, dB = krull_dimension(inst.A), krull_dimension(inst.B)
+    ra, rb = RingRoute(inst.A, rng), RingRoute(inst.B, rng)
+    dA, dB = ra.dim, rb.dim
     if dA != 2 or dB != 2:
         return TheoremVerdict(
             tid, inst.name, [("dim A = dim B = 2", VIOLATED)], None, None,
@@ -303,14 +335,12 @@ def check_dim2_bound(inst, rng=None):
     _r1, status = r1_status(inst.A)
     hyps.append(("Sing condition on J", status))
     q = inst.p_power
-    a_A = a_invariant_auto(inst.A, rng)
-    a_B = a_invariant_auto(inst.B, rng)
-    lhs = floor(a_A / q)
+    a_B = rb.a
+    lhs = floor(ra.a / q)
     ok = lhs <= a_B
     notes = "floor(a(A)/p^e) = %d vs a(B) = %d" % (lhs, a_B)
-    if inst.A.is_standard_graded and certified_cm(inst.A, rng):
-        reg_A = regularity_auto(inst.A, rng)
-        lhs2 = floor((reg_A - 2) / q)
+    if inst.A.is_standard_graded and ra.is_cm:
+        lhs2 = floor((ra.regularity - 2) / q)
         ok = ok and lhs2 <= a_B
         notes += "; floor((reg A - 2)/p^e) = %d" % lhs2
     return _finish(tid, inst.name, hyps, lhs, a_B, ok, notes)
@@ -344,10 +374,10 @@ def check_purely_inseparable(inst, rng=None):
             tid, inst.name, [("purely inseparable extension", UNVERIFIED)],
             None, None, NOT_APPLICABLE, "claim is %r" % inst.separability_claim,
         )
+    ra, rb = RingRoute(inst.A, rng), RingRoute(inst.B, rng)
     hyps = _common_hypotheses(inst)
-    cm_A = certified_cm(inst.A, rng)
     r1_A, r1_stat = r1_status(inst.A)
-    normal_A = cm_A and bool(r1_A)
+    normal_A = ra.is_cm and bool(r1_A)
     hyps.append(
         ("A normal (CM + R1 sufficient)", VERIFIED if normal_A else (r1_stat if r1_stat == VIOLATED else UNVERIFIED))
     )
@@ -361,9 +391,8 @@ def check_purely_inseparable(inst, rng=None):
     notes = "B^{p^e} %s A^{(p^e)}" % ("=" if equal else ("<" if contained else "!<"))
     if not equal:
         return _finish(tid, inst.name, hyps, None, None, contained, notes + "; B not normal" if contained else notes)
-    a_A = a_invariant_auto(inst.A, rng)
-    a_B = a_invariant_auto(inst.B, rng)
-    lhs = floor(a_A / q)
+    a_B = rb.a
+    lhs = floor(ra.a / q)
     ok = lhs == a_B
     notes += "; floor(a(A)/p^e) = %d, a(B) = %d" % (lhs, a_B)
     return _finish(tid, inst.name, hyps, lhs, a_B, ok, notes)
@@ -390,31 +419,31 @@ def check_general_bound(inst, rng=None):
     _r1, status = r1_status(inst.A)
     hyps.append(("A regular in codimension one", status))
     q = inst.p_power
-    a_A = a_invariant_auto(inst.A, rng)
-    d = krull_dimension(inst.A)
-    reg_B = regularity_auto(inst.B, rng)
-    lhs = floor((a_A + d - 2) / q)
-    rhs = reg_B - 2
+    ra, rb = RingRoute(inst.A, rng), RingRoute(inst.B, rng)
+    lhs = floor((ra.a + ra.dim - 2) / q)
+    rhs = rb.regularity - 2
     return _finish(tid, inst.name, hyps, lhs, rhs, lhs <= rhs)
 
 
 def min_mult_conditions(A, rng=None):
     """The four minimal-multiplicity conditions, each decided independently."""
-    rng = rng or random.Random(0)
+    return _min_mult_conditions(RingRoute(A, rng))
+
+
+def _min_mult_conditions(route):
+    A = route.A
     if not A.is_standard_graded:
         raise ValueError("minimal multiplicity is a standard graded notion")
-    d = krull_dimension(A)
+    d = route.dim
     e = multiplicity(A)
     edim = embedding_dimension(A)
-    cm = certified_cm(A, rng)
+    cm = route.is_cm
     cond_e = e == edim - d + 1
-    reg = regularity_auto(A, rng)
-    cond_reg = reg <= 1
-    a = a_invariant_auto(A, rng) if cm else None
-    cond_a = cm and a <= 1 - d
+    cond_reg = route.regularity <= 1
+    cond_a = cm and route.a <= 1 - d
     cond_m2 = False
     if cm:
-        sop = linear_system_of_parameters(A, rng)
+        sop = linear_system_of_parameters(A, route.rng)
         gb = groebner_basis(list(A.ideal_gens) + sop) if (A.ideal_gens or sop) else None
         ring = A.ring
         cond_m2 = True
@@ -450,8 +479,7 @@ def check_min_mult_equivalences(A, rng=None, name=None):
 
 
 def has_minimal_multiplicity(A, rng=None):
-    conds = min_mult_conditions(A, rng)
-    return all(conds.values())
+    return all(min_mult_conditions(A, rng).values())
 
 
 def check_min_mult_descent(inst, rng=None):
@@ -463,14 +491,14 @@ def check_min_mult_descent(inst, rng=None):
             tid, inst.name, [("standard gradings", VIOLATED)], None, None,
             NOT_APPLICABLE, "weighted grading",
         )
-    b_min = has_minimal_multiplicity(inst.B, rng)
-    if not b_min:
+    ra, rb = RingRoute(inst.A, rng), RingRoute(inst.B, rng)
+    if not all(_min_mult_conditions(rb).values()):
         return TheoremVerdict(
             tid, inst.name, [("B has minimal multiplicity", VIOLATED)], None, None,
             NOT_APPLICABLE, "B does not have minimal multiplicity",
         )
     hyps = _common_hypotheses(inst)
-    cm_A = certified_cm(inst.A, rng)
+    cm_A = ra.is_cm
     hyps.append(("A Cohen-Macaulay", VERIFIED if cm_A else VIOLATED))
     r1_A, r1_stat = r1_status(inst.A)
     normal_A = cm_A and bool(r1_A)
@@ -478,7 +506,7 @@ def check_min_mult_descent(inst, rng=None):
         ("A normal (CM + R1 sufficient)",
          VERIFIED if normal_A else (VIOLATED if r1_stat == VIOLATED or not cm_A else UNVERIFIED))
     )
-    a_min = has_minimal_multiplicity(inst.A, rng)
+    a_min = all(_min_mult_conditions(ra).values())
     notes = "B min-mult: True; A min-mult: %s" % a_min
     return _finish(tid, inst.name, hyps, int(a_min), 1, a_min, notes)
 
@@ -508,11 +536,10 @@ def check_mcm_quotient(inst, rng=None):
         )
     hyps = _common_hypotheses(inst)
     hyps.append(("proper extension", USER_ASSERTED))
-    cm_A = certified_cm(inst.A, rng)
-    cm_B = certified_cm(inst.B, rng)
-    hyps.append(("A Cohen-Macaulay", VERIFIED if cm_A else VIOLATED))
-    hyps.append(("B Cohen-Macaulay", VERIFIED if cm_B else VIOLATED))
-    mm = has_minimal_multiplicity(inst.A, rng) if inst.A.is_standard_graded else False
+    ra, rb = RingRoute(inst.A, rng), RingRoute(inst.B, rng)
+    hyps.append(("A Cohen-Macaulay", VERIFIED if ra.is_cm else VIOLATED))
+    hyps.append(("B Cohen-Macaulay", VERIFIED if rb.is_cm else VIOLATED))
+    mm = inst.A.is_standard_graded and all(_min_mult_conditions(ra).values())
     hyps.append(("A has minimal multiplicity", VERIFIED if mm else VIOLATED))
     equal, J = contracted_parameter_ideal_equals(inst, rng)
     notes = "J = (%s); JB ∩ A %s J" % (", ".join(map(repr, J)), "=" if equal else "!=")
@@ -668,25 +695,27 @@ ALL_CHECKS = {
 }
 
 
-def suite_verdicts_for_instance(name, seed=2024):
-    """All checks for one built-in instance, for parallel suite fan-out."""
-    for inst in builtin_instances():
-        if inst.name == name:
-            return [
-                ALL_CHECKS[tid](inst, random.Random(seed)) for tid in sorted(ALL_CHECKS)
-            ]
-    raise ValueError("no built-in instance named %r" % name)
+def _instance_verdicts(inst, seed):
+    return [ALL_CHECKS[tid](inst, random.Random(seed)) for tid in sorted(ALL_CHECKS)]
 
 
-def run_suite(seed=2024):
-    """Run every check on every built-in instance; deterministic output order."""
-    verdicts = []
-    for inst in sorted(builtin_instances(), key=lambda i: i.name):
-        for tid in sorted(ALL_CHECKS):
-            rng = random.Random(seed)
-            verdicts.append(ALL_CHECKS[tid](inst, rng))
+def run_suite(seed=2024, workers=1):
+    """Run every check on every built-in instance; deterministic output order.
+
+    With workers > 1 the instances are checked in that many processes; each
+    check still gets its own Random(seed), so the verdicts do not change.
+    """
+    instances = sorted(builtin_instances(), key=lambda i: i.name)
+    seeds = [seed] * len(instances)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(_instance_verdicts, instances, seeds))
+    else:
+        batches = list(map(_instance_verdicts, instances, seeds))
+    verdicts = [v for batch in batches for v in batch]
     for ring in builtin_rings():
-        rng = random.Random(seed)
-        verdicts.append(check_min_mult_equivalences(ring, rng))
+        verdicts.append(check_min_mult_equivalences(ring, random.Random(seed)))
     verdicts.sort(key=lambda v: (v.instance, v.theorem_id))
     return verdicts

@@ -6,7 +6,7 @@ degrees of monomial extensions are lattice indices, and the inseparable
 degree of Quot(A) in Quot(B) is the stabilized index [L_B : L_A + p^e L_B].
 """
 
-from fractions import Fraction
+from .core import QQ, left_nullspace
 
 
 def _hnf(rows):
@@ -96,45 +96,21 @@ class ExponentLattice:
         )
 
 
-def _solve_rational(basis, vector):
-    """Coordinates of vector in the given row basis, or None (exact, Fractions)."""
-    if not basis:
-        return None if any(vector) else []
-    rows = [list(map(Fraction, b)) + [Fraction(0)] * 0 for b in basis]
-    n = len(basis[0])
-    # solve x . basis = vector by Gaussian elimination on the transposed system
-    aug = [[rows[i][j] for i in range(len(rows))] + [Fraction(vector[j])] for j in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(len(rows)):
-        pr = next((i for i in range(r, n) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    sol = [Fraction(0)] * len(rows)
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][-1]
-    # consistency
-    for j in range(n):
-        acc = sum(sol[i] * Fraction(basis[i][j]) for i in range(len(basis)))
-        if acc != vector[j]:
-            return None
-    return sol
-
-
 def _solve_integer(basis, vector):
-    sol = _solve_rational(basis, vector)
-    if sol is None or any(x.denominator != 1 for x in sol):
+    """Integer coordinates of vector in the independent rows `basis`, or None.
+
+    With independent rows the left nullspace of (basis; vector) is nonzero
+    exactly when vector lies in their rational span, and then it is spanned
+    by one vector whose last entry is 1.
+    """
+    rows = [[QQ.coerce(x) for x in r] for r in list(basis) + [vector]]
+    null = left_nullspace(rows, QQ)
+    if not null:
         return None
-    return [int(x) for x in sol]
+    coords = [-x for x in null[0][:-1]]
+    if any(x.denominator != 1 for x in coords):
+        return None
+    return [int(x) for x in coords]
 
 
 def lattice_of_monomial_algebra(generators, ambient_rank=None):
@@ -156,32 +132,14 @@ def extension_index(L_A, L_B):
         raise ValueError("lattices have different ranks; the index is infinite")
     if not L_A.is_sublattice_of(L_B):
         raise ValueError("first lattice is not contained in the second")
-    # rows of L_A in coordinates of L_B's basis
+    # rows of L_A in coordinates of L_B's basis; the Hermite normal form of
+    # this square matrix is upper triangular, and unimodular row operations
+    # keep |det|, so the index is the product of its diagonal
     M = [_solve_integer(L_B.basis, a) for a in L_A.basis]
-    det = _int_det([row[:] for row in M])
-    return abs(det)
-
-
-def _int_det(m):
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    assert det.denominator == 1
-    return int(det)
+    index = 1
+    for i, row in enumerate(_hnf(M)):
+        index *= row[i]
+    return index
 
 
 def inseparable_degree(L_A, L_B, p):

@@ -17,7 +17,7 @@ from gradedinv.theorems import (
     COUNTEREXAMPLE,
     SMALL_RING_VARS,
     VIOLATED,
-    a_invariant_auto,
+    RingRoute,
     builtin_rings,
     check_separable_bound,
     contracted_parameter_ideal_equals,
@@ -62,7 +62,7 @@ def test_criterion_1_pinch_point_family():
         inst = pinchpoint_family(n, QQ)
         ok = ok and a_invariant(inst.A) == n - 3
         ok = ok and multiplicity(inst.A) == n
-        ok = ok and a_invariant_auto(inst.B, rng) == -1
+        ok = ok and RingRoute(inst.B, rng).a == -1
     _report(1, ok, "pinch-point family n=2..8: a(A)=n-3, e(A)=n, a(Ver_n)=-1")
 
 
@@ -79,7 +79,7 @@ def test_criterion_2_veronese_law():
         a_c = a_invariant(C)
         for n in (2, 3, 4):
             V = veronese_presentation(C, n)
-            ok = ok and a_invariant_auto(V.presentation, rng) == a_c // n
+            ok = ok and RingRoute(V.presentation, rng).a == a_c // n
     _report(2, ok, "Veronese law a(C^(n)) = floor(a(C)/n) on 4 rings x n=2,3,4")
 
 

@@ -28,6 +28,7 @@ from gradedinv.groebner import (
     normal_form,
     ring_map_kernel,
     saturation,
+    _restrict,
 )
 
 
@@ -193,3 +194,12 @@ def test_char_p_groebner():
     x, y = R.gens()
     gb = groebner_basis([2 * x**2 + y**2, x * y])
     assert normal_form(x**3, gb).is_zero()
+
+
+def test_restrict_rejects_a_dropped_variable():
+    big = GradedPolyRing(QQ, ("t", "x"))
+    small = GradedPolyRing(QQ, ("x",))
+    t, x = big.gens()
+    assert _restrict(x**2, small, 1) == small.gens()[0] ** 2
+    with pytest.raises(ValueError):
+        _restrict(t * x, small, 1)

@@ -7,6 +7,7 @@ import pytest
 from gradedinv.core import QQ, GF, GradedPolyRing, GradedQuotientPresentation, free_presentation
 from gradedinv.hilbert import hilbert_series, krull_dimension, multiplicity
 from gradedinv.resolution import (
+    FreeResolution,
     a_invariant,
     betti_table,
     canonical_module,
@@ -98,8 +99,18 @@ def test_pinch_point_a_invariant_family():
 
 
 def test_canonical_module_of_gorenstein_is_cyclic():
-    omega = canonical_module(_hypersurface())
+    A = _hypersurface()
+    omega = canonical_module(minimal_free_resolution(A), krull_dimension(A))
     assert len(omega.generator_degrees) == 1
+
+
+def test_free_resolution_rejects_non_minimal_and_overlong():
+    R = GradedPolyRing(QQ, ("x",))
+    (x,) = R.gens()
+    with pytest.raises(RuntimeError, match="non-minimal"):
+        FreeResolution(R, [[0], [0]], [[[x + R.one()]]])
+    with pytest.raises(RuntimeError, match="longer"):
+        FreeResolution(R, [[0], [1], [2]], [[[x]], [[x]]])
 
 
 def test_a_plus_dim_le_reg_with_equality_iff_cm():

@@ -4,10 +4,14 @@ import random
 
 import pytest
 
+from gradedinv import theorems
+from gradedinv.constructions import veronese_presentation
 from gradedinv.core import GF, QQ, free_presentation
+from gradedinv.resolution import cm_certificate_by_parameters
 from gradedinv.theorems import (
     COUNTEREXAMPLE,
     NOT_APPLICABLE,
+    PARAMETER_CERTIFIED,
     PASS,
     VIOLATED,
     builtin_instances,
@@ -134,8 +138,23 @@ def test_suite_composition():
 
 def test_suite_deterministic():
     a = [v.to_dict() for v in run_suite(seed=2024)]
-    b = [v.to_dict() for v in run_suite(seed=2024)]
+    b = [v.to_dict() for v in run_suite(seed=2024, workers=2)]
     assert a == b
+
+
+def test_report_certifies_a_large_ring_once(monkeypatch):
+    calls = []
+
+    def counted(A, rng=None):
+        calls.append(A)
+        return cm_certificate_by_parameters(A, rng)
+
+    monkeypatch.setattr(theorems, "cm_certificate_by_parameters", counted)
+    V = veronese_presentation(free_presentation(QQ, ("x", "y")), 6).presentation
+    rep = invariant_report(V, random.Random(1))
+    assert rep.route == PARAMETER_CERTIFIED and rep.is_cm
+    assert (rep.a_invariant, rep.regularity) == (-1, 1)
+    assert len(calls) == 1
 
 
 def test_instance_rejects_bad_claim():
