@@ -17,6 +17,7 @@ from .groebner import (
     groebner_basis,
     lead_ideal_monomials,
     normal_form,
+    presentation_groebner_basis,
     ring_map_kernel,
     saturation,
     _inject,
@@ -114,7 +115,7 @@ def _veronese_kernel(A, n, ambient_src, basis, max_source_degree=8):
     V = ambient_src.ring
     # certify against a weight-1 copy so slot i of the Hilbert function is A_{ni}
     V1 = GradedPolyRing(fld, V.names)
-    gbA = groebner_basis(list(A.ideal_gens)) if A.ideal_gens else None
+    gbA = presentation_groebner_basis(A) if A.ideal_gens else None
     gens = []
     for t in range(2, max_source_degree + 1):
         monos = list(_monomials_of_degree(V.nvars, t))
@@ -287,11 +288,6 @@ def is_module_finite(phi):
         return target.ring.nvars == 0
     quotient = GradedQuotientPresentation(target.ring, gens)
     return hilbert_series(quotient).dimension() <= 0
-
-
-def is_zero_ring(presentation):
-    gb = groebner_basis(list(presentation.ideal_gens)) if presentation.ideal_gens else None
-    return bool(gb) and any(g.weighted_degree() == 0 for g in gb)
 
 
 def irrelevant_saturation(A):

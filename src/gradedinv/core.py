@@ -488,7 +488,14 @@ class Polynomial:
 
 
 class GradedQuotientPresentation:
-    """A graded algebra A = S/I given by homogeneous ideal generators."""
+    """A graded algebra A = S/I given by homogeneous ideal generators.
+
+    Results that depend only on the presentation (the reduced degrevlex
+    Groebner basis of I, the Hilbert series, the minimal free resolution and
+    the canonical-module a-invariant) are kept on the object by the
+    functions that compute them, so each is computed at most once per
+    presentation.  Nothing is shared between separately built presentations.
+    """
 
     def __init__(self, ring, ideal_gens=(), asserted_domain=False, name=None):
         gens = [g for g in ideal_gens if not g.is_zero()]
@@ -501,6 +508,17 @@ class GradedQuotientPresentation:
         self.ideal_gens = tuple(gens)
         self.asserted_domain = bool(asserted_domain)
         self.name = name
+        self._memo = {}
+
+    def cached(self, key, compute):
+        """compute(), run at most once per presentation and kept under `key`.
+
+        The owning function decides what is kept; callers get the same
+        object back every time and must treat it as read-only.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def field(self):

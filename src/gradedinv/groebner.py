@@ -182,9 +182,23 @@ def ideals_equal(gens_a, gens_b, order=DEGREVLEX):
     return list(gb_a.generators) == list(gb_b.generators)
 
 
+def presentation_groebner_basis(A):
+    """Reduced degrevlex Groebner basis of A's ideal, computed once per A."""
+    if not A.ideal_gens:
+        return GroebnerBasis((), DEGREVLEX)
+    return A.cached("groebner_basis", lambda: groebner_basis(list(A.ideal_gens)))
+
+
+def is_zero_ring(A):
+    """True when A's ideal is the unit ideal."""
+    return any(g.weighted_degree() == 0 for g in presentation_groebner_basis(A))
+
+
 def lead_ideal_monomials(presentation_or_gens, order=DEGREVLEX):
     """Minimal generators of the lead-term ideal."""
     if isinstance(presentation_or_gens, GradedQuotientPresentation):
+        if order == DEGREVLEX:
+            return list(presentation_groebner_basis(presentation_or_gens).lead_monomials)
         gens = list(presentation_or_gens.ideal_gens)
     else:
         gens = list(presentation_or_gens)
@@ -341,8 +355,7 @@ class GradedRingMap:
                     term = term * img**e
             out = out + term
         if self.target.ideal_gens:
-            gb = groebner_basis(list(self.target.ideal_gens), DEGREVLEX)
-            out = normal_form(out, gb)
+            out = normal_form(out, presentation_groebner_basis(self.target))
         return out
 
     def is_well_defined(self):

@@ -5,7 +5,7 @@ recursion on monomial ideals and kept uncancelled; dimension is read off as
 the pole order at t = 1, so no factor-cancellation choices are involved.
 """
 
-from .core import GradedQuotientPresentation, mono_degree, mono_divides
+from .core import DEGREVLEX, GradedQuotientPresentation, mono_degree, mono_divides
 from .groebner import lead_ideal_monomials
 
 
@@ -210,15 +210,23 @@ class HilbertSeries:
 
 
 def hilbert_series(A, order=None):
-    """Exact Hilbert series of a graded quotient presentation."""
+    """Exact Hilbert series of a graded quotient presentation.
+
+    The numerator comes from the lead-term ideal under `order` (degrevlex
+    by default).  The default-order series is computed once per presentation
+    and kept on A; the same object is returned on later calls.
+    """
     if not isinstance(A, GradedQuotientPresentation):
         raise TypeError("expected a GradedQuotientPresentation")
+    order = order or DEGREVLEX
+    if order == DEGREVLEX:
+        return A.cached("hilbert_series", lambda: _hilbert_series(A, order))
+    return _hilbert_series(A, order)
+
+
+def _hilbert_series(A, order):
     if A.ideal_gens:
-        if order is None:
-            leads = lead_ideal_monomials(A)
-        else:
-            leads = lead_ideal_monomials(A, order)
-        num = hilbert_numerator(leads, A.ring.weights)
+        num = hilbert_numerator(lead_ideal_monomials(A, order), A.ring.weights)
     else:
         num = IntPoly.one()
     return HilbertSeries(num, A.ring.weights)

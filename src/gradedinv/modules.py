@@ -6,6 +6,8 @@ Syzygies are computed by tagging: append a unit vector to each input,
 compute a module basis, and read off the elements supported only on tags.
 """
 
+import heapq
+
 from .core import DEGREVLEX, Polynomial, mono_degree, mono_div, mono_divides, mono_lcm, mono_mul
 
 
@@ -171,20 +173,20 @@ def module_groebner(vectors, order=DEGREVLEX):
         G.append(v.scale(fld.inv(lc)))
         leads.append((lt, fld.one()))
 
-    pairs = set()
+    # same-component pairs, smallest lcm first: (order key of lcm, i, j)
+    pairs = []
+
+    def add_pair(i, j):
+        lcm = mono_lcm(leads[i][0][1], leads[j][0][1])
+        heapq.heappush(pairs, (order.key(lcm), i, j))
+
     for i in range(len(G)):
         for j in range(i):
             if leads[i][0][0] == leads[j][0][0]:
-                pairs.add((j, i))
-
-    def pair_key(p):
-        (ci, mi), _ = leads[p[0]]
-        (cj, mj), _ = leads[p[1]]
-        return order.key(mono_lcm(mi, mj))
+                add_pair(j, i)
 
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
+        _key, i, j = heapq.heappop(pairs)
         (ci, mi), _lci = leads[i]
         (cj, mj), _lcj = leads[j]
         lcm = mono_lcm(mi, mj)
@@ -200,7 +202,7 @@ def module_groebner(vectors, order=DEGREVLEX):
         k = len(G) - 1
         for a in range(k):
             if leads[a][0][0] == lt[0]:
-                pairs.add((a, k))
+                add_pair(a, k)
     return G
 
 

@@ -18,7 +18,7 @@ from .core import (
     Polynomial,
     mono_degree,
 )
-from .groebner import groebner_basis, lead_ideal_monomials, normal_form
+from .groebner import is_zero_ring, lead_ideal_monomials, presentation_groebner_basis
 from .hilbert import hilbert_series, multiplicity
 from .modules import (
     kernel_of_matrix,
@@ -126,13 +126,28 @@ def minimal_ideal_generators(A, order=DEGREVLEX):
 
 
 def minimal_free_resolution(A, order=DEGREVLEX):
-    """Minimal graded free resolution of A = S/I as an S-module."""
+    """Minimal graded free resolution of A = S/I as an S-module.
+
+    The degrevlex resolution is computed once per presentation and kept on
+    A; the same object is returned on later calls.  The zero ring (I the
+    unit ideal) and rings above RESOLUTION_VARIABLE_LIMIT variables raise
+    ValueError.
+    """
     ring = A.ring
     if ring.nvars > RESOLUTION_VARIABLE_LIMIT:
         raise ValueError(
             "resolution over %d variables exceeds the desk-scale limit (%d)"
             % (ring.nvars, RESOLUTION_VARIABLE_LIMIT)
         )
+    if order == DEGREVLEX:
+        return A.cached("resolution", lambda: _resolve(A, order))
+    return _resolve(A, order)
+
+
+def _resolve(A, order):
+    if is_zero_ring(A):
+        raise ValueError("free resolution of the zero ring (the unit ideal)")
+    ring = A.ring
     shifts = [[0]]
     matrices = []
     gens = minimal_ideal_generators(A, order)
@@ -252,14 +267,23 @@ def canonical_module(res, d, order=DEGREVLEX):
 
 
 def a_invariant(A, order=DEGREVLEX):
-    """a(A) = -(initial degree of the graded canonical module)."""
+    """a(A) = -(initial degree of the graded canonical module).
+
+    The degrevlex value is computed once per presentation and kept on A.
+    """
     from .hilbert import krull_dimension
 
     d = krull_dimension(A)
     if d < 0:
         raise ValueError("canonical module of the zero ring")
-    res = minimal_free_resolution(A, order)
-    return -canonical_module(res, d, order).initial_degree
+
+    def compute():
+        res = minimal_free_resolution(A, order)
+        return -canonical_module(res, d, order).initial_degree
+
+    if order == DEGREVLEX:
+        return A.cached("a_invariant", compute)
+    return compute()
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +296,7 @@ def embedding_dimension(A):
         raise ValueError("embedding dimension requires a standard grading")
     if not A.ideal_gens:
         return A.ring.nvars
-    gb = groebner_basis(list(A.ideal_gens), DEGREVLEX)
-    linear = sum(1 for g in gb if g.degree() == 1)
+    linear = sum(1 for g in presentation_groebner_basis(A) if g.degree() == 1)
     return A.ring.nvars - linear
 
 

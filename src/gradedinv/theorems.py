@@ -6,10 +6,17 @@ of the comparison, and a conclusion.  A failed inequality with a violated
 hypothesis is reported as "counterexample-consistent", not as an error.
 
 Every invariant of a ring comes from its RingRoute, which picks one of two
-routes from the ambient variable count and computes each invariant at most
-once.  Rings with at most SMALL_RING_VARS variables take the "resolution"
-route: one minimal free resolution gives depth, CM and regularity, and the
-same resolution is dualized for the canonical module and a.  Larger rings
+routes from the ambient variable count.  Whatever does not depend on a
+random draw (the Groebner basis of I, the Hilbert series, the resolution and
+the canonical-module a) is kept on the presentation, so the checks of one
+suite run share it.  The parameter certificate and every sampled system of
+parameters draw from the check's rng, so they are not kept: each route draws
+its own, and how much of the stream a check consumes does not depend on
+which checks ran before it.
+
+Rings with at most SMALL_RING_VARS variables take the "resolution" route:
+one minimal free resolution gives depth, CM and regularity, and the same
+resolution is dualized for the canonical module and a.  Larger rings
 are out of reach for iterated syzygies and take the "parameter-certified"
 route: one parameter-colength certificate decides CM (standard gradings;
 weighted ones are still resolved), and a and reg are read off the Hilbert
@@ -46,7 +53,7 @@ from .groebner import (
 )
 from .hilbert import hilbert_series, krull_dimension, multiplicity
 from .resolution import (
-    canonical_module,
+    a_invariant,
     cm_certificate_by_parameters,
     embedding_dimension,
     linear_system_of_parameters,
@@ -169,10 +176,12 @@ def _finish(theorem_id, instance, hyps, lhs, rhs, ok, notes=""):
 class RingRoute:
     """The route by which the invariants of one presentation are computed.
 
-    `route` is decided once, from the variable count.  dim, depth, is_cm,
-    regularity and a are computed on first use and kept on the object, so
-    each is computed at most once per route.  A check builds one route per
-    ring and reads everything from it; nothing outlives the object.
+    `route` is decided once, from the variable count.  The Hilbert series,
+    the resolution and the resolution-route a are kept on the presentation
+    itself, so every route on the same presentation, in any check, shares
+    them.  The parameter certificate draws from this route's rng, so
+    is_cm (and what follows from it on the parameter route) is kept on the
+    route only: two routes on one ring each sample their own certificate.
     """
 
     def __init__(self, A, rng=None):
@@ -180,7 +189,7 @@ class RingRoute:
         self.rng = rng or random.Random(0)
         self.route = RESOLUTION if A.ring.nvars <= SMALL_RING_VARS else PARAMETER_CERTIFIED
 
-    @cached_property
+    @property
     def hilbert(self):
         return hilbert_series(self.A)
 
@@ -188,7 +197,7 @@ class RingRoute:
     def dim(self):
         return self.hilbert.dimension()
 
-    @cached_property
+    @property
     def resolution(self):
         return minimal_free_resolution(self.A)
 
@@ -208,9 +217,7 @@ class RingRoute:
     @cached_property
     def a(self):
         if self.route == RESOLUTION:
-            if self.dim < 0:
-                raise ValueError("canonical module of the zero ring")
-            return -canonical_module(self.resolution, self.dim).initial_degree
+            return a_invariant(self.A)
         if not self.is_cm:
             raise ValueError(
                 "a-invariant of a large non-CM presentation is out of desk-scale reach"
@@ -235,10 +242,10 @@ def r1_status(A):
         return None, UNVERIFIED
     gens = len(A.ideal_gens)
     n = A.ring.nvars
-    c = n - krull_dimension(A)
+    d = krull_dimension(A)
+    c = n - d
     if c > 0 and comb(max(gens, c), c) * comb(n, c) > MINOR_BUDGET:
         return None, UNVERIFIED
-    d = krull_dimension(A)
     sing = singular_locus_dimension(A)
     ok = sing <= d - 2
     return ok, (VERIFIED if ok else VIOLATED)
@@ -706,14 +713,18 @@ def run_suite(seed=2024, workers=1):
     check still gets its own Random(seed), so the verdicts do not change.
     """
     instances = sorted(builtin_instances(), key=lambda i: i.name)
-    seeds = [seed] * len(instances)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
+            seeds = [seed] * len(instances)
             batches = list(pool.map(_instance_verdicts, instances, seeds))
     else:
-        batches = list(map(_instance_verdicts, instances, seeds))
+        # Drop each instance once checked, and with it what its presentations
+        # keep; holding every instance to the end would raise peak memory.
+        batches = []
+        while instances:
+            batches.append(_instance_verdicts(instances.pop(0), seed))
     verdicts = [v for batch in batches for v in batch]
     for ring in builtin_rings():
         verdicts.append(check_min_mult_equivalences(ring, random.Random(seed)))

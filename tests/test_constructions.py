@@ -17,13 +17,12 @@ from gradedinv.constructions import (
     frobenius_power_subalgebra_generators,
     irrelevant_saturation,
     is_module_finite,
-    is_zero_ring,
     reweight,
     subalgebra_membership,
     subalgebras_equal,
     veronese_presentation,
 )
-from gradedinv.groebner import GradedRingMap, ideals_equal
+from gradedinv.groebner import GradedRingMap, ideals_equal, is_zero_ring
 from gradedinv.hilbert import hilbert_series, krull_dimension
 from gradedinv.resolution import a_invariant
 

@@ -13,6 +13,10 @@ from gradedinv.dsl import ScriptError, Session, parse_script, print_script
 
 ROOT = Path(__file__).resolve().parent.parent
 PINCHPOINT = ROOT / "scripts" / "pinchpoint.gi"
+# The full bytes of `gradedinv suite --json` at seed 2024.  Unlike
+# perfbench/golden_suite.json it keeps the notes, which print the sampled
+# systems of parameters, so any shift in the random stream shows here.
+GOLDEN_SUITE = ROOT / "tests" / "data" / "suite_seed2024.json"
 SCHEMA = json.loads(
     (ROOT / "src" / "gradedinv" / "schemas" / "report.schema.json").read_text()
 )
@@ -142,6 +146,14 @@ def test_cli_hilbert_betti_kernel():
     assert r.returncode == 0
 
 
+def test_cli_betti_of_zero_ring_is_input_error(tmp_path):
+    script = tmp_path / "zero.gi"
+    script.write_text("ring S over QQ vars x:1, y:1;\nideal Z in S = 1;\n")
+    r = _run("betti", "Z", "--script", str(script))
+    assert r.returncode == 2
+    assert "zero ring" in r.stderr and "internal error" not in r.stderr
+
+
 def test_cli_veronese_and_frobenius():
     r = _run("veronese", "A", "2", "--script", str(PINCHPOINT), "--json")
     assert r.returncode == 0
@@ -185,3 +197,10 @@ def test_cli_suite_deterministic_and_valid(tmp_path):
         v["conclusion"] in ("pass", "counterexample-consistent", "not-applicable")
         for v in doc["verdicts"]
     )
+
+
+def test_cli_suite_json_matches_golden_bytes(capsys):
+    from gradedinv.cli import main
+
+    assert main(["suite", "--json", "--seed", "2024"]) == 0
+    assert capsys.readouterr().out == GOLDEN_SUITE.read_text()

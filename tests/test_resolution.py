@@ -1,9 +1,13 @@
 """Free resolutions, Betti tables, depth, canonical modules, singular loci."""
 
 import random
+from math import comb
 
 import pytest
 
+from gradedinv import modules, resolution
+from gradedinv.constructions import veronese_presentation
+from gradedinv.groebner import presentation_groebner_basis
 from gradedinv.core import QQ, GF, GradedPolyRing, GradedQuotientPresentation, free_presentation
 from gradedinv.hilbert import hilbert_series, krull_dimension, multiplicity
 from gradedinv.resolution import (
@@ -65,6 +69,52 @@ def test_twisted_cubic_betti():
     assert bt.beta(2, 3) == 2
     assert bt.projective_dimension() == 2
     assert bt.regularity() == 1
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_rational_normal_curve_is_eagon_northcott(d):
+    # The 2x2 minors of a 2 x d matrix: beta_{i,i+1} = i * C(d, i+1).
+    kxy = free_presentation(QQ, ("x", "y"))
+    bt = betti_table(veronese_presentation(kxy, d).presentation)
+    expected = {(0, 0): 1}
+    expected.update({(i, i + 1): i * comb(d, i + 1) for i in range(1, d)})
+    assert bt.entries == expected
+
+
+def test_zero_ring_has_no_resolution():
+    R = GradedPolyRing(QQ, ("x", "y"))
+    Z = GradedQuotientPresentation(R, [R.one()])
+    with pytest.raises(ValueError, match="zero ring"):
+        minimal_free_resolution(Z)
+    with pytest.raises(ValueError, match="zero ring"):
+        betti_table(Z)
+
+
+def _count_syzygy_calls(monkeypatch):
+    calls = []
+    real = modules.syzygy_module
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "syzygy_module", counted)
+    monkeypatch.setattr(resolution, "syzygy_module", counted)
+    return calls
+
+
+def test_equal_presentations_share_nothing(monkeypatch):
+    calls = _count_syzygy_calls(monkeypatch)
+    A1, A2 = _twisted_cubic(), _twisted_cubic()
+    r1 = minimal_free_resolution(A1)
+    once = len(calls)
+    assert once > 0
+    assert minimal_free_resolution(A1) is r1 and len(calls) == once
+    r2 = minimal_free_resolution(A2)
+    assert len(calls) == 2 * once
+    assert r2 is not r1 and r2.betti_table().entries == r1.betti_table().entries
+    assert hilbert_series(A2) is not hilbert_series(A1)
+    assert presentation_groebner_basis(A2) is not presentation_groebner_basis(A1)
 
 
 def test_depth_and_cm():

@@ -14,6 +14,7 @@ from gradedinv.theorems import (
     PARAMETER_CERTIFIED,
     PASS,
     VIOLATED,
+    RingRoute,
     builtin_instances,
     builtin_rings,
     check_dim2_bound,
@@ -33,6 +34,7 @@ from gradedinv.theorems import (
     run_suite,
     twisted_cubic_in_veronese_instance,
 )
+from test_resolution import _count_syzygy_calls
 
 
 def test_pinch_point_reports():
@@ -155,6 +157,37 @@ def test_report_certifies_a_large_ring_once(monkeypatch):
     assert rep.route == PARAMETER_CERTIFIED and rep.is_cm
     assert (rep.a_invariant, rep.regularity) == (-1, 1)
     assert len(calls) == 1
+
+
+def test_checks_resolve_each_presentation_once(monkeypatch):
+    calls = _count_syzygy_calls(monkeypatch)
+    # The resolution work of both rings, each done once: resolution and a.
+    twin = quadric_cone_instance(QQ)
+    for A in (twin.A, twin.B):
+        route = RingRoute(A)
+        route.a, route.regularity, route.is_cm
+    once = len(calls)
+    assert once > 0
+
+    calls.clear()
+    inst = quadric_cone_instance(QQ)
+    for check in theorems.ALL_CHECKS.values():
+        check(inst, random.Random(2024))
+    assert len(calls) == once
+    for check in theorems.ALL_CHECKS.values():
+        check(inst, random.Random(2024))
+    assert len(calls) == once
+
+
+def test_routes_on_one_large_ring_each_draw_their_certificate():
+    # The certificate samples from the route's rng, so it is not kept on the
+    # presentation: both routes draw, and draw the same.
+    V = veronese_presentation(free_presentation(QQ, ("x", "y")), 6).presentation
+    rngs = [random.Random(3), random.Random(3)]
+    for rng in rngs:
+        route = RingRoute(V, rng)
+        assert route.route == PARAMETER_CERTIFIED and route.is_cm
+    assert rngs[0].getstate() == rngs[1].getstate() != random.Random(3).getstate()
 
 
 def test_instance_rejects_bad_claim():
