@@ -490,11 +490,12 @@ class Polynomial:
 class GradedQuotientPresentation:
     """A graded algebra A = S/I given by homogeneous ideal generators.
 
-    Results that depend only on the presentation (the reduced degrevlex
-    Groebner basis of I, the Hilbert series, the minimal free resolution and
-    the canonical-module a-invariant) are kept on the object by the
-    functions that compute them, so each is computed at most once per
-    presentation.  Nothing is shared between separately built presentations.
+    Results that depend only on the presentation and a monomial order (the
+    reduced Groebner basis of I, the Hilbert series, the minimal free
+    resolution and the canonical-module a-invariant) are kept on the object
+    by the functions that compute them, so each is computed at most once per
+    presentation and order.  Nothing is shared between separately built
+    presentations.
     """
 
     def __init__(self, ring, ideal_gens=(), asserted_domain=False, name=None):

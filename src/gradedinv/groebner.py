@@ -182,11 +182,13 @@ def ideals_equal(gens_a, gens_b, order=DEGREVLEX):
     return list(gb_a.generators) == list(gb_b.generators)
 
 
-def presentation_groebner_basis(A):
-    """Reduced degrevlex Groebner basis of A's ideal, computed once per A."""
+def presentation_groebner_basis(A, order=DEGREVLEX):
+    """Reduced Groebner basis of A's ideal, computed once per A and order."""
     if not A.ideal_gens:
-        return GroebnerBasis((), DEGREVLEX)
-    return A.cached("groebner_basis", lambda: groebner_basis(list(A.ideal_gens)))
+        return GroebnerBasis((), order)
+    return A.cached(
+        ("groebner_basis", order), lambda: groebner_basis(list(A.ideal_gens), order)
+    )
 
 
 def is_zero_ring(A):
@@ -197,15 +199,11 @@ def is_zero_ring(A):
 def lead_ideal_monomials(presentation_or_gens, order=DEGREVLEX):
     """Minimal generators of the lead-term ideal."""
     if isinstance(presentation_or_gens, GradedQuotientPresentation):
-        if order == DEGREVLEX:
-            return list(presentation_groebner_basis(presentation_or_gens).lead_monomials)
-        gens = list(presentation_or_gens.ideal_gens)
-    else:
-        gens = list(presentation_or_gens)
+        return list(presentation_groebner_basis(presentation_or_gens, order).lead_monomials)
+    gens = list(presentation_or_gens)
     if not gens:
         return []
-    gb = groebner_basis(gens, order)
-    return list(gb.lead_monomials)
+    return list(groebner_basis(gens, order).lead_monomials)
 
 
 # ---------------------------------------------------------------------------

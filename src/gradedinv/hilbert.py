@@ -213,15 +213,13 @@ def hilbert_series(A, order=None):
     """Exact Hilbert series of a graded quotient presentation.
 
     The numerator comes from the lead-term ideal under `order` (degrevlex
-    by default).  The default-order series is computed once per presentation
-    and kept on A; the same object is returned on later calls.
+    by default).  The series is computed once per presentation and order and
+    kept on A; the same object is returned on later calls.
     """
     if not isinstance(A, GradedQuotientPresentation):
         raise TypeError("expected a GradedQuotientPresentation")
     order = order or DEGREVLEX
-    if order == DEGREVLEX:
-        return A.cached("hilbert_series", lambda: _hilbert_series(A, order))
-    return _hilbert_series(A, order)
+    return A.cached(("hilbert_series", order), lambda: _hilbert_series(A, order))
 
 
 def _hilbert_series(A, order):

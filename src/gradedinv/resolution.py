@@ -128,7 +128,7 @@ def minimal_ideal_generators(A, order=DEGREVLEX):
 def minimal_free_resolution(A, order=DEGREVLEX):
     """Minimal graded free resolution of A = S/I as an S-module.
 
-    The degrevlex resolution is computed once per presentation and kept on
+    The resolution is computed once per presentation and order and kept on
     A; the same object is returned on later calls.  The zero ring (I the
     unit ideal) and rings above RESOLUTION_VARIABLE_LIMIT variables raise
     ValueError.
@@ -139,9 +139,7 @@ def minimal_free_resolution(A, order=DEGREVLEX):
             "resolution over %d variables exceeds the desk-scale limit (%d)"
             % (ring.nvars, RESOLUTION_VARIABLE_LIMIT)
         )
-    if order == DEGREVLEX:
-        return A.cached("resolution", lambda: _resolve(A, order))
-    return _resolve(A, order)
+    return A.cached(("resolution", order), lambda: _resolve(A, order))
 
 
 def _resolve(A, order):
@@ -269,7 +267,7 @@ def canonical_module(res, d, order=DEGREVLEX):
 def a_invariant(A, order=DEGREVLEX):
     """a(A) = -(initial degree of the graded canonical module).
 
-    The degrevlex value is computed once per presentation and kept on A.
+    The value is computed once per presentation and order and kept on A.
     """
     from .hilbert import krull_dimension
 
@@ -281,9 +279,7 @@ def a_invariant(A, order=DEGREVLEX):
         res = minimal_free_resolution(A, order)
         return -canonical_module(res, d, order).initial_degree
 
-    if order == DEGREVLEX:
-        return A.cached("a_invariant", compute)
-    return compute()
+    return A.cached(("a_invariant", order), compute)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from gradedinv.core import QQ, GradedPolyRing, GradedQuotientPresentation, free_presentation, mono_divides
+from gradedinv.core import (
+    DEGREVLEX,
+    LEX,
+    QQ,
+    GradedPolyRing,
+    GradedQuotientPresentation,
+    free_presentation,
+    mono_divides,
+)
 from gradedinv.hilbert import (
     IntPoly,
     a_invariant_fastpath,
@@ -52,6 +60,16 @@ def test_quadric_cone_series():
     assert multiplicity(A) == 2
     assert h_vector(A) == [1, 1]
     assert hs.coefficients(3) == [1, 3, 5, 7]
+
+
+def test_series_is_kept_per_order():
+    R = GradedPolyRing(QQ, ("x", "y", "z"))
+    x, y, z = R.gens()
+    A = _quotient(R, [x**2 - y * z, x * y - z**2])
+    lex = hilbert_series(A, LEX)
+    assert hilbert_series(A, LEX) is lex
+    assert hilbert_series(A) is hilbert_series(A, DEGREVLEX) is not lex
+    assert lex == hilbert_series(A)
 
 
 def test_free_ring_a_invariant():

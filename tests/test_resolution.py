@@ -5,7 +5,6 @@ from math import comb
 
 import pytest
 
-from gradedinv import modules, resolution
 from gradedinv.constructions import veronese_presentation
 from gradedinv.groebner import presentation_groebner_basis
 from gradedinv.core import QQ, GF, GradedPolyRing, GradedQuotientPresentation, free_presentation
@@ -90,28 +89,14 @@ def test_zero_ring_has_no_resolution():
         betti_table(Z)
 
 
-def _count_syzygy_calls(monkeypatch):
-    calls = []
-    real = modules.syzygy_module
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(modules, "syzygy_module", counted)
-    monkeypatch.setattr(resolution, "syzygy_module", counted)
-    return calls
-
-
-def test_equal_presentations_share_nothing(monkeypatch):
-    calls = _count_syzygy_calls(monkeypatch)
+def test_equal_presentations_share_nothing(syzygy_calls):
     A1, A2 = _twisted_cubic(), _twisted_cubic()
     r1 = minimal_free_resolution(A1)
-    once = len(calls)
+    once = len(syzygy_calls)
     assert once > 0
-    assert minimal_free_resolution(A1) is r1 and len(calls) == once
+    assert minimal_free_resolution(A1) is r1 and len(syzygy_calls) == once
     r2 = minimal_free_resolution(A2)
-    assert len(calls) == 2 * once
+    assert len(syzygy_calls) == 2 * once
     assert r2 is not r1 and r2.betti_table().entries == r1.betti_table().entries
     assert hilbert_series(A2) is not hilbert_series(A1)
     assert presentation_groebner_basis(A2) is not presentation_groebner_basis(A1)

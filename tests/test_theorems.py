@@ -34,7 +34,6 @@ from gradedinv.theorems import (
     run_suite,
     twisted_cubic_in_veronese_instance,
 )
-from test_resolution import _count_syzygy_calls
 
 
 def test_pinch_point_reports():
@@ -159,24 +158,23 @@ def test_report_certifies_a_large_ring_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_checks_resolve_each_presentation_once(monkeypatch):
-    calls = _count_syzygy_calls(monkeypatch)
+def test_checks_resolve_each_presentation_once(syzygy_calls):
     # The resolution work of both rings, each done once: resolution and a.
     twin = quadric_cone_instance(QQ)
     for A in (twin.A, twin.B):
         route = RingRoute(A)
         route.a, route.regularity, route.is_cm
-    once = len(calls)
+    once = len(syzygy_calls)
     assert once > 0
 
-    calls.clear()
+    syzygy_calls.clear()
     inst = quadric_cone_instance(QQ)
     for check in theorems.ALL_CHECKS.values():
         check(inst, random.Random(2024))
-    assert len(calls) == once
+    assert len(syzygy_calls) == once
     for check in theorems.ALL_CHECKS.values():
         check(inst, random.Random(2024))
-    assert len(calls) == once
+    assert len(syzygy_calls) == once
 
 
 def test_routes_on_one_large_ring_each_draw_their_certificate():
