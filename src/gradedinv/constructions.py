@@ -12,7 +12,6 @@ from .core import (
 )
 from .groebner import (
     GradedRingMap,
-    elimination_ideal,
     elimination_order,
     groebner_basis,
     lead_ideal_monomials,
@@ -100,7 +99,7 @@ def _rref_insert(pivots, vec, fld):
     return vec
 
 
-def _veronese_kernel(A, n, ambient_src, basis, max_source_degree=8):
+def _veronese_kernel(A, n, ring, basis, max_source_degree=8):
     """Kernel of the slot-variable presentation map, by exact linear algebra.
 
     Degree by degree, kernel elements are left-nullspace vectors of the
@@ -108,17 +107,17 @@ def _veronese_kernel(A, n, ambient_src, basis, max_source_degree=8):
     degree slot basis; multiples of lower-degree kernel generators are
     quotiented out, so the result is a minimal generating set by the graded
     Nakayama argument.  The Hilbert-function certificate above decides when
-    the accumulated ideal is the whole kernel.  Returns (generators,
-    is_minimal); elimination is the fallback when the degree cap is hit.
+    the accumulated ideal is the whole kernel.  `ring` is the weight-1 ring
+    of the slot variables, so slot i of the Hilbert function is A_{ni}.
+    Returns the certified presentation over `ring`, its Groebner basis and
+    Hilbert series kept from the certificate, or None when the degree cap
+    is hit (elimination is then the fallback).
     """
     fld = A.field
-    V = ambient_src.ring
-    # certify against a weight-1 copy so slot i of the Hilbert function is A_{ni}
-    V1 = GradedPolyRing(fld, V.names)
     gbA = presentation_groebner_basis(A) if A.ideal_gens else None
     gens = []
     for t in range(2, max_source_degree + 1):
-        monos = list(_monomials_of_degree(V.nvars, t))
+        monos = list(_monomials_of_degree(ring.nvars, t))
         mono_index = {m: i for i, m in enumerate(monos)}
         target = degree_slot_basis(A, n * t)
         index = {m: i for i, m in enumerate(target)}
@@ -138,28 +137,25 @@ def _veronese_kernel(A, n, ambient_src, basis, max_source_degree=8):
         # span of degree-t multiples of the generators found so far
         old_span = {}
         for g in gens:
-            for m in _monomials_of_degree(V.nvars, t - g.degree()):
-                prod = g * Polynomial(V1, {m: fld.coerce(1)})
+            for m in _monomials_of_degree(ring.nvars, t - g.degree()):
+                prod = g * Polynomial(ring, {m: fld.coerce(1)})
                 vec = [fld.zero()] * len(monos)
                 for mono, cf in prod.terms.items():
                     vec[mono_index[mono]] = cf
                 _rref_insert(old_span, vec, fld)
-        new = 0
         for coeffs in left_nullspace(rows, fld):
             reduced = _rref_insert(old_span, coeffs, fld)
             if reduced is None:
                 continue
-            poly = V1.zero()
+            poly = ring.zero()
             for k, cf in enumerate(reduced):
                 if cf:
-                    poly = poly + Polynomial(V1, {monos[k]: cf})
+                    poly = poly + Polynomial(ring, {monos[k]: cf})
             gens.append(poly)
-            new += 1
-        if _stride_certified(A, n, GradedQuotientPresentation(V1, gens)):
-            return [Polynomial(V, dict(g.terms)) for g in gens], True
-    images = [A.ring.monomial(m) for m in basis]
-    phi = GradedRingMap(ambient_src, A, images)
-    return ring_map_kernel(phi), False
+        candidate = GradedQuotientPresentation(ring, gens)
+        if _stride_certified(A, n, candidate):
+            return candidate
+    return None
 
 
 class VeronesePresentation:
@@ -185,30 +181,35 @@ class VeronesePresentation:
 
 
 def veronese_presentation(A, n, convention=REGRADED):
-    """Present the n-th Veronese subring of a standard graded algebra."""
+    """Present the n-th Veronese subring of a standard graded algebra.
+
+    When the linear-algebra kernel is certified, the REGRADED presentation
+    is the certified weight-1 presentation itself, so its Groebner basis and
+    Hilbert series come back already computed.  AMBIENT, and the elimination
+    fallback, build a fresh presentation with the kernel reweighted.
+    """
     if n < 1:
         raise ValueError("Veronese degree must be positive")
     if convention not in (REGRADED, AMBIENT):
         raise ValueError("unknown Veronese convention %r" % convention)
     basis = degree_slot_basis(A, n)
     names = tuple(_monomial_name(A.ring, m) for m in basis)
-    ambient_src = GradedQuotientPresentation(
-        GradedPolyRing(A.field, names, (n,) * len(basis))
-    )
-    kernel, minimal = _veronese_kernel(A, n, ambient_src, basis)
-    if not minimal:
+    ambient = GradedPolyRing(A.field, names, (n,) * len(basis))
+    pres = _veronese_kernel(A, n, GradedPolyRing(A.field, names), basis)
+    if pres is None:
+        phi = GradedRingMap(
+            GradedQuotientPresentation(ambient), A, [A.ring.monomial(m) for m in basis]
+        )
         kernel = minimal_ideal_generators(
-            GradedQuotientPresentation(ambient_src.ring, kernel)
+            GradedQuotientPresentation(ambient, ring_map_kernel(phi))
         )
-    if convention == REGRADED:
-        pres = reweight(
-            GradedQuotientPresentation(ambient_src.ring, kernel, A.asserted_domain),
-            (1,) * len(basis),
-        )
-    else:
-        pres = GradedQuotientPresentation(ambient_src.ring, kernel, A.asserted_domain)
-    name = "%s^(%d)" % (A.name, n) if A.name else None
-    pres.name = name
+        pres = GradedQuotientPresentation(ambient, kernel)
+        if convention == REGRADED:
+            pres = reweight(pres, (1,) * len(basis))
+    elif convention == AMBIENT:
+        pres = reweight(pres, ambient.weights)
+    pres.asserted_domain = A.asserted_domain
+    pres.name = "%s^(%d)" % (A.name, n) if A.name else None
     return VeronesePresentation(pres, basis, A, n, convention)
 
 

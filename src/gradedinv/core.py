@@ -315,9 +315,6 @@ class GradedPolyRing:
             return self.zero()
         return Polynomial(self, {exps: c})
 
-    def degree_of_monomial(self, exps):
-        return mono_degree(exps, self.weights)
-
 
 class Polynomial:
     """Multivariate polynomial with exact coefficients; immutable by convention."""

@@ -210,12 +210,6 @@ def lead_ideal_monomials(presentation_or_gens, order=DEGREVLEX):
 # Ring extension / restriction plumbing used by elimination tricks.
 
 
-def _extended_ring(ring, extra_names, extra_weights):
-    return GradedPolyRing(
-        ring.field, tuple(extra_names) + ring.names, tuple(extra_weights) + ring.weights
-    )
-
-
 def _inject(poly, big_ring, offset):
     """View poly in big_ring, its variables shifted right by offset."""
     pad = (0,) * offset

@@ -68,12 +68,6 @@ class ModuleVector:
             {(i, mono_mul(m, mono)): fld.mul(c, coeff) for (i, m), c in self.terms.items()},
         )
 
-    def mul_poly(self, p):
-        out = ModuleVector(self.ring, self.rank, {})
-        for m, c in p.terms.items():
-            out = out + self.mul_term(m, c)
-        return out
-
     def component(self, i):
         return Polynomial(
             self.ring, {m: c for (j, m), c in self.terms.items() if j == i}

@@ -16,7 +16,6 @@ from .core import (
     DEGREVLEX,
     GradedQuotientPresentation,
     Polynomial,
-    mono_degree,
 )
 from .groebner import is_zero_ring, lead_ideal_monomials, presentation_groebner_basis
 from .hilbert import hilbert_series, multiplicity
@@ -377,8 +376,24 @@ def is_r1(A):
     return singular_locus_dimension(A) <= krull_dimension(A) - 2
 
 
+class NoLinearParametersError(ValueError):
+    """No sampled linear form system is a system of parameters.
+
+    Over a small field every linear form may be a zero divisor, so a ring
+    can have no linear system of parameters at all."""
+
+
 def linear_system_of_parameters(A, rng=None, attempts=60):
-    """Sample a linear system of parameters for a standard graded algebra."""
+    """Sample a linear system of parameters for a standard graded algebra.
+
+    Returns (forms, quotient): the d sampled linear forms and the
+    presentation of A/(forms), with generators A.ideal_gens + forms, whose
+    Hilbert series accepted the draw.  Its Groebner basis and Hilbert series
+    are kept on it, so callers read the colength and normal forms modulo
+    I + J from it without computing them again.  For d = 0 the forms are
+    empty and the quotient is A itself.  Raises NoLinearParametersError (a
+    ValueError) when none of `attempts` draws is a system of parameters.
+    """
     from .hilbert import krull_dimension
 
     if not A.is_standard_graded:
@@ -386,7 +401,7 @@ def linear_system_of_parameters(A, rng=None, attempts=60):
     ring = A.ring
     d = krull_dimension(A)
     if d == 0:
-        return []
+        return [], A
     rng = rng or random.Random(0)
     p = ring.field.characteristic
     span = p if 0 < p < 11 else 11
@@ -401,8 +416,11 @@ def linear_system_of_parameters(A, rng=None, attempts=60):
             continue
         quotient = GradedQuotientPresentation(ring, list(A.ideal_gens) + forms)
         if hilbert_series(quotient).dimension() == 0:
-            return forms
-    raise RuntimeError("no linear system of parameters found (field too small?)")
+            return forms, quotient
+    raise NoLinearParametersError(
+        "no linear system of parameters found over %s in %d draws"
+        % (ring.field, attempts)
+    )
 
 
 def cm_certificate_by_parameters(A, rng=None):
@@ -410,15 +428,16 @@ def cm_certificate_by_parameters(A, rng=None):
 
     For a homogeneous linear system of parameters J one has
     dim_k(A/J) >= e(A), with equality exactly when A is Cohen-Macaulay.
-    Cheap enough for presentations whose resolutions are out of reach.
+    The colength is read off the quotient that accepted the sampled J, so
+    GB(I + J) is computed once per accepted draw.  Cheap enough for
+    presentations whose resolutions are out of reach.
     """
     from .hilbert import krull_dimension
 
     d = krull_dimension(A)
     if d == 0:
         return True
-    forms = linear_system_of_parameters(A, rng)
-    quotient = GradedQuotientPresentation(A.ring, list(A.ideal_gens) + forms)
+    _forms, quotient = linear_system_of_parameters(A, rng)
     colength = sum(hilbert_series(quotient).coefficients(_colength_bound(quotient)))
     return colength == multiplicity(A)
 

@@ -50,9 +50,11 @@ from .groebner import (
     contraction,
     groebner_basis,
     normal_form,
+    presentation_groebner_basis,
 )
 from .hilbert import hilbert_series, krull_dimension, multiplicity
 from .resolution import (
+    NoLinearParametersError,
     a_invariant,
     cm_certificate_by_parameters,
     embedding_dimension,
@@ -450,20 +452,14 @@ def _min_mult_conditions(route):
     cond_a = cm and route.a <= 1 - d
     cond_m2 = False
     if cm:
-        sop = linear_system_of_parameters(A, route.rng)
-        gb = groebner_basis(list(A.ideal_gens) + sop) if (A.ideal_gens or sop) else None
+        _sop, quotient = linear_system_of_parameters(A, route.rng)
+        gb = presentation_groebner_basis(quotient)
         ring = A.ring
-        cond_m2 = True
-        for i in range(ring.nvars):
-            for j in range(i, ring.nvars):
-                prod = ring.var(i) * ring.var(j)
-                if gb is None or not normal_form(prod, gb).is_zero():
-                    cond_m2 = False
-                    break
-            if not cond_m2:
-                break
-        if gb is None:
-            cond_m2 = ring.nvars == 0
+        cond_m2 = all(
+            normal_form(ring.var(i) * ring.var(j), gb).is_zero()
+            for i in range(ring.nvars)
+            for j in range(i, ring.nvars)
+        )
     return {
         "e = edim - dim + 1": cond_e,
         "reg <= 1": cond_reg,
@@ -476,7 +472,13 @@ def check_min_mult_equivalences(A, rng=None, name=None):
     """The four conditions must agree: all true or all false."""
     tid = "minmult-eq"
     name = name or A.name or repr(A)
-    conds = min_mult_conditions(A, rng)
+    try:
+        conds = min_mult_conditions(A, rng)
+    except NoLinearParametersError as exc:
+        return TheoremVerdict(
+            tid, name, [("linear sop over the field", UNVERIFIED)], None, None,
+            NOT_APPLICABLE, str(exc),
+        )
     values = list(conds.values())
     agree = all(values) or not any(values)
     hyps = [("standard graded", VERIFIED)]
@@ -524,11 +526,11 @@ def contracted_parameter_ideal_equals(inst, rng=None):
     Returns (equal, J) with J the sampled forms.
     """
     rng = rng or random.Random(0)
-    J = linear_system_of_parameters(inst.A, rng)
+    J, quotient = linear_system_of_parameters(inst.A, rng)
     jb = [inst.inclusion.apply(f) for f in J]
     pulled = contraction(inst.inclusion, jb)
     lhs = groebner_basis(pulled + list(inst.A.ideal_gens))
-    rhs = groebner_basis(J + list(inst.A.ideal_gens))
+    rhs = presentation_groebner_basis(quotient)
     return list(lhs.generators) == list(rhs.generators), J
 
 

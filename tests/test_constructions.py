@@ -2,6 +2,7 @@
 
 import pytest
 
+from gradedinv import constructions
 from gradedinv.core import (
     GF,
     QQ,
@@ -66,6 +67,18 @@ def test_veronese_ambient_convention():
     assert V.presentation.ring.weights == (2, 2, 2)
     W = veronese_presentation(A, 2, REGRADED)
     assert W.presentation.ring.weights == (1, 1, 1)
+
+
+def test_veronese_elimination_fallback_matches_certified_kernel(monkeypatch):
+    C = _quadric()
+    C.name = "quadric"
+    certified = {c: veronese_presentation(C, 2, c).presentation for c in (REGRADED, AMBIENT)}
+    monkeypatch.setattr(constructions, "_veronese_kernel", lambda *args: None)
+    for convention, want in certified.items():
+        got = veronese_presentation(C, 2, convention).presentation
+        assert got.ring == want.ring
+        assert (got.asserted_domain, got.name) == (want.asserted_domain, want.name)
+        assert ideals_equal(list(got.ideal_gens), list(want.ideal_gens))
 
 
 def test_veronese_bookkeeping():

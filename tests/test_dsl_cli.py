@@ -154,6 +154,22 @@ def test_cli_betti_of_zero_ring_is_input_error(tmp_path):
     assert "zero ring" in r.stderr and "internal error" not in r.stderr
 
 
+def test_cli_minmult_without_a_linear_sop_is_not_applicable(tmp_path):
+    # Over GF(2) no linear form is a parameter on x*y*(x+y).
+    script = tmp_path / "f.gi"
+    script.write_text("ring S over GF(2) vars x:1, y:1;\nideal A in S = x*y*(x+y);\n")
+    r = _run("check", "--script", str(script), "minmult-eq", "A", "--json")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    jsonschema.validate(doc, SCHEMA)
+    verdict = doc["verdicts"][0]
+    assert verdict["conclusion"] == "not-applicable"
+    assert verdict["hypotheses"] == [
+        {"name": "linear sop over the field", "status": "unverified"}
+    ]
+    assert "GF(2)" in verdict["notes"] and "60 draws" in verdict["notes"]
+
+
 def test_cli_veronese_and_frobenius():
     r = _run("veronese", "A", "2", "--script", str(PINCHPOINT), "--json")
     assert r.returncode == 0

@@ -1,6 +1,7 @@
 """Groebner bases, normal forms, elimination, and ideal operations."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from gradedinv.core import (
     QQ,
     GradedPolyRing,
     GradedQuotientPresentation,
+    Polynomial,
     free_presentation,
 )
 from gradedinv.groebner import (
@@ -98,6 +100,56 @@ def test_normal_form_idempotent(rnd):
     nf = normal_form(f, gb)
     assert normal_form(nf, gb) == nf
     assert normal_form(f - nf, gb).is_zero()
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """(variable count, generators): 2-4 quadrics or cubics in 2-4 variables,
+    each generator a dict exponent -> nonzero integer coefficient."""
+    nvars = draw(st.integers(2, 4))
+    gens = []
+    for _ in range(draw(st.integers(2, 4))):
+        deg = draw(st.sampled_from((2, 3)))
+        monos = st.lists(
+            st.integers(0, nvars - 1), min_size=deg, max_size=deg
+        ).map(lambda vs: tuple(vs.count(i) for i in range(nvars)))
+        coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
+        gens.append(draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3)))
+    return nvars, gens
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+@settings(max_examples=100, deadline=None)
+@given(ideal=homogeneous_ideals())
+def test_reduced_basis_matches_sympy(sympy, p, ideal):
+    # Reduced Groebner bases are unique, so the monic bases must agree.
+    nvars, gens = ideal
+    names = tuple("x%d" % i for i in range(nvars))
+    R = GradedPolyRing(GF(p) if p else QQ, names)
+    polys = [Polynomial(R, {m: R.field.coerce(c) for m, c in g.items()}) for g in gens]
+    ours = {frozenset(g.terms.items()) for g in groebner_basis(polys)}
+
+    syms = sympy.symbols(names)
+    exprs = [
+        sum(c * sympy.Mul(*(s**e for s, e in zip(syms, m))) for m, c in g.items())
+        for g in gens
+    ]
+    field = {"modulus": p} if p else {"domain": "QQ"}
+    theirs = set()
+    for g in sympy.groebner(exprs, *syms, order="grevlex", **field).polys:
+        # Poly.monic() would divide by the lex leading coefficient
+        terms = {
+            m: R.field.coerce(int(c) if p else Fraction(int(c.p), int(c.q)))
+            for m, c in g.as_dict().items()
+        }
+        lc = terms[max(terms, key=DEGREVLEX.key)]
+        theirs.add(frozenset((m, R.field.div(c, lc)) for m, c in terms.items()))
+    assert ours == theirs
 
 
 def test_elimination_ideal():

@@ -194,8 +194,9 @@ def test_r1_requires_domain_assertion():
 def test_linear_sop_and_parameter_certificate():
     rng = random.Random(11)
     tc = _twisted_cubic()
-    sop = linear_system_of_parameters(tc, rng)
+    sop, quotient = linear_system_of_parameters(tc, rng)
     assert len(sop) == krull_dimension(tc)
+    assert quotient.ideal_gens == tc.ideal_gens + tuple(sop)
     assert cm_certificate_by_parameters(tc, random.Random(11))
     R = GradedPolyRing(QQ, ("x", "y"))
     x, y = R.gens()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gradedinv import theorems
+from gradedinv import resolution, theorems
 from gradedinv.constructions import veronese_presentation
 from gradedinv.core import GF, QQ, free_presentation
 from gradedinv.resolution import cm_certificate_by_parameters
@@ -186,6 +186,52 @@ def test_routes_on_one_large_ring_each_draw_their_certificate():
         route = RingRoute(V, rng)
         assert route.route == PARAMETER_CERTIFIED and route.is_cm
     assert rngs[0].getstate() == rngs[1].getstate() != random.Random(3).getstate()
+
+
+def _ver6():
+    return veronese_presentation(free_presentation(QQ, ("x", "y")), 6).presentation
+
+
+@pytest.fixture
+def accepted_sops(monkeypatch):
+    """The forms of every linear sop accepted during the test, in order."""
+    accepted = []
+    real = resolution.linear_system_of_parameters
+
+    def recorded(*args, **kwargs):
+        forms, quotient = real(*args, **kwargs)
+        accepted.append(forms)
+        return forms, quotient
+
+    monkeypatch.setattr(resolution, "linear_system_of_parameters", recorded)
+    monkeypatch.setattr(theorems, "linear_system_of_parameters", recorded)
+    return accepted
+
+
+def test_report_on_a_certified_veronese_computes_no_gb_of_its_ideal(groebner_calls):
+    # The kernel certificate computed GB(I) already, on the returned object.
+    V = _ver6()
+    groebner_calls.clear()
+    rep = invariant_report(V, random.Random(1))
+    assert rep.route == PARAMETER_CERTIFIED and rep.is_cm
+    assert groebner_calls.of(V.ideal_gens) == 0
+
+
+def test_report_computes_one_gb_per_accepted_sop(groebner_calls, accepted_sops):
+    V = _ver6()
+    invariant_report(V, random.Random(1))
+    assert len(accepted_sops) == 1
+    assert groebner_calls.of(V.ideal_gens + tuple(accepted_sops[0])) == 1
+
+
+def test_min_mult_m2_check_reuses_its_accepted_sop(groebner_calls, accepted_sops):
+    V = _ver6()
+    conds = theorems._min_mult_conditions(RingRoute(V, random.Random(1)))
+    assert all(conds.values())
+    # one draw for the CM certificate, one for the m^2 condition
+    assert len(accepted_sops) == 2 and accepted_sops[0] != accepted_sops[1]
+    for forms in accepted_sops:
+        assert groebner_calls.of(V.ideal_gens + tuple(forms)) == 1
 
 
 def test_instance_rejects_bad_claim():
