@@ -3,14 +3,19 @@
 Also `left_nullspace`, the exact elimination over a field that the Veronese
 kernel and the exponent-lattice solver share.
 
-Everything here is immutable after construction and safe to share between
-threads.  Coefficients are `fractions.Fraction` over the rationals and plain
-ints in [0, p) over a prime field.
+Also `Record` and `FrozenRecord`, the base of every small value class in
+the package (fields, orders, reports, verdicts, instances, script records):
+slots, with equality and repr by field.  They stand in for `dataclasses`,
+whose import would add `inspect`, `ast`, `dis` and `tokenize` to the start-up
+of every process.
+
+Fields and orders are frozen records; rings and polynomials are not changed
+after construction.  All of them are safe to share between threads.
+Coefficients are `fractions.Fraction` over the rationals and plain ints in
+[0, p) over a prime field.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 # Exponents live in machine range; anything past this is a modelling error,
 # not a bigger desk computation.
@@ -34,14 +39,60 @@ def _is_prime(n):
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Record:
+    """A value record: its fields are its `__slots__`, in order.
+
+    Equality and repr go by field, as for a dataclass; records are
+    unhashable and pickle by their constructor arguments.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__),
+        )
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FrozenRecord(Record):
+    """A Record whose fields cannot be reassigned; hashable by field.
+
+    `__init__` sets the fields with `object.__setattr__`.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class FieldSpec(FrozenRecord):
     """Base field: the rationals or a prime field F_p with p < 2^31."""
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self):
-        p = self.characteristic
+    def __init__(self, characteristic=0):
+        object.__setattr__(self, "characteristic", characteristic)
+        p = characteristic
         if p == 0:
             return
         if p >= EXPONENT_LIMIT or not _is_prime(p):
@@ -182,8 +233,7 @@ def mono_degree(a, weights=None):
 # Term orders.  key(m) returns a tuple; larger key = larger monomial.
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(FrozenRecord):
     """A global monomial order.
 
     kind:
@@ -194,11 +244,12 @@ class MonomialOrder:
                            then degrevlex on the rest
     """
 
-    kind: str = "degrevlex"
-    weights: Optional[tuple] = None
-    block: int = 0
+    __slots__ = ("kind", "weights", "block")
 
-    def __post_init__(self):
+    def __init__(self, kind="degrevlex", weights=None, block=0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "block", block)
         if self.kind not in ("degrevlex", "lex", "weighted-degrevlex", "elimination"):
             raise ValueError("unknown order kind %r" % self.kind)
         if self.kind == "weighted-degrevlex" and not self.weights:

@@ -10,15 +10,16 @@ Grammar (statements end with ';'):
     COMMAND arg ...;            # any invariants/hilbert/betti/... invocation
 
 Polynomials use `^` for powers and require `*` for products; coefficients are
-integers or fractions of integers.  parse(print_script(s)) returns an equal
-SessionScript for every parseable script.
+integers or fractions of integers.  Tokens, declarations, commands and the
+SessionScript are records that compare field by field, and
+parse(print_script(s)) returns an equal SessionScript for every parseable
+script.
 """
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import GF, QQ, GradedPolyRing, GradedQuotientPresentation, Polynomial
+from .core import GF, QQ, FrozenRecord, GradedPolyRing, GradedQuotientPresentation, Record
 from .groebner import GradedRingMap
 
 
@@ -44,12 +45,16 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int" | "name" | "sym" | "arrow" | "eof"
-    text: str
-    line: int
-    column: int
+class Token(FrozenRecord):
+    """One lexeme: kind "int", "name", "sym" or "eof", at a 1-based position."""
+
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind, text, line, column):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
 
 def tokenize(text):
@@ -80,49 +85,66 @@ def tokenize(text):
 # AST
 
 
-@dataclass
-class RingDecl:
-    name: str
-    characteristic: int  # 0 for QQ
-    variables: tuple  # of (name, weight)
+class RingDecl(Record):
+    __slots__ = ("name", "characteristic", "variables")
+
+    def __init__(self, name, characteristic, variables):
+        self.name = name
+        self.characteristic = characteristic  # 0 for QQ
+        self.variables = variables  # tuple of (name, weight)
 
 
-@dataclass
-class IdealDecl:
-    name: str
-    ring: str
-    generators: tuple  # of Polynomial
+class IdealDecl(Record):
+    __slots__ = ("name", "ring", "generators")
+
+    def __init__(self, name, ring, generators):
+        self.name = name
+        self.ring = ring
+        self.generators = generators  # tuple of Polynomial
 
 
-@dataclass
-class MapDecl:
-    name: str
-    source: str
-    target: str
-    images: tuple  # of Polynomial
+class MapDecl(Record):
+    __slots__ = ("name", "source", "target", "images")
+
+    def __init__(self, name, source, target, images):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.images = images  # tuple of Polynomial
 
 
-@dataclass
-class InstanceDecl:
-    name: str
-    A: str
-    B: str
-    map: str
-    characteristic: int = None
-    p_power: int = None
-    domain: bool = False
-    separability: str = "unknown"
+class InstanceDecl(Record):
+    __slots__ = (
+        "name", "A", "B", "map", "characteristic", "p_power", "domain", "separability",
+    )
+
+    def __init__(
+        self, name, A, B, map, characteristic=None, p_power=None, domain=False,
+        separability="unknown",
+    ):
+        self.name = name
+        self.A = A
+        self.B = B
+        self.map = map
+        self.characteristic = characteristic
+        self.p_power = p_power
+        self.domain = domain
+        self.separability = separability
 
 
-@dataclass
-class Command:
-    words: tuple  # of str
+class Command(Record):
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words  # tuple of str
 
 
-@dataclass
-class SessionScript:
-    declarations: list = field(default_factory=list)
-    commands: list = field(default_factory=list)
+class SessionScript(Record):
+    __slots__ = ("declarations", "commands")
+
+    def __init__(self, declarations=None, commands=None):
+        self.declarations = [] if declarations is None else declarations
+        self.commands = [] if commands is None else commands
 
 
 COMMAND_WORDS = {

@@ -8,7 +8,7 @@ compute a module basis, and read off the elements supported only on tags.
 
 import heapq
 
-from .core import DEGREVLEX, Polynomial, mono_degree, mono_div, mono_divides, mono_lcm, mono_mul
+from .core import DEGREVLEX, Polynomial, mono_degree, mono_div, mono_lcm, mono_mul
 
 
 class ModuleVector:

@@ -4,6 +4,9 @@ Each check evaluates one of the paper-level inequalities or equivalences on
 a concrete extension instance, reporting a hypothesis checklist, both sides
 of the comparison, and a conclusion.  A failed inequality with a violated
 hypothesis is reported as "counterexample-consistent", not as an error.
+Reports, instances and verdicts are mutable records (`core.Record`): they
+compare and print field by field, are unhashable, and pickle, so suite
+workers can take instances and send back verdicts.
 
 Every invariant of a ring comes from its RingRoute, which picks one of two
 routes from the ambient variable count.  Whatever does not depend on a
@@ -26,16 +29,15 @@ every small instance; a or reg of a large non-CM ring raises ValueError.
 """
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb, floor
-from typing import Optional
 
 from .core import (
     GF,
     QQ,
     GradedPolyRing,
     GradedQuotientPresentation,
+    Record,
     free_presentation,
 )
 from .constructions import (
@@ -85,19 +87,29 @@ COUNTEREXAMPLE = "counterexample-consistent"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass
-class InvariantReport:
-    dim: int
-    depth: Optional[int]
-    edim: Optional[int]
-    multiplicity: Optional[int]
-    regularity: Optional[int]
-    a_invariant: int
-    is_cm: bool
-    is_r1: Optional[bool]
-    has_min_mult: Optional[bool]
-    hilbert: object
-    route: str = RESOLUTION
+class InvariantReport(Record):
+    """The invariants of one ring; a field is None where it is unknown."""
+
+    __slots__ = (
+        "dim", "depth", "edim", "multiplicity", "regularity", "a_invariant",
+        "is_cm", "is_r1", "has_min_mult", "hilbert", "route",
+    )
+
+    def __init__(
+        self, dim, depth, edim, multiplicity, regularity, a_invariant, is_cm,
+        is_r1, has_min_mult, hilbert, route=RESOLUTION,
+    ):
+        self.dim = dim
+        self.depth = depth
+        self.edim = edim
+        self.multiplicity = multiplicity
+        self.regularity = regularity
+        self.a_invariant = a_invariant
+        self.is_cm = is_cm
+        self.is_r1 = is_r1
+        self.has_min_mult = has_min_mult
+        self.hilbert = hilbert
+        self.route = route
 
     def to_dict(self):
         return {
@@ -118,18 +130,26 @@ class InvariantReport:
         }
 
 
-@dataclass
-class ExtensionInstance:
-    name: str
-    A: GradedQuotientPresentation
-    B: GradedQuotientPresentation
-    inclusion: GradedRingMap
-    characteristic: int
-    p_power: Optional[int] = None
-    separability_claim: str = "unknown"
-    proper: bool = True
+class ExtensionInstance(Record):
+    """An inclusion A -> B of graded algebras, with what is known of it."""
 
-    def __post_init__(self):
+    __slots__ = (
+        "name", "A", "B", "inclusion", "characteristic", "p_power",
+        "separability_claim", "proper",
+    )
+
+    def __init__(
+        self, name, A, B, inclusion, characteristic, p_power=None,
+        separability_claim="unknown", proper=True,
+    ):
+        self.name = name
+        self.A = A
+        self.B = B
+        self.inclusion = inclusion
+        self.characteristic = characteristic
+        self.p_power = p_power
+        self.separability_claim = separability_claim
+        self.proper = proper
         if self.separability_claim not in (
             "separable",
             "purely-inseparable",
@@ -139,15 +159,20 @@ class ExtensionInstance:
             raise ValueError("bad separability claim %r" % self.separability_claim)
 
 
-@dataclass
-class TheoremVerdict:
-    theorem_id: str
-    instance: str
-    hypotheses: list
-    lhs: Optional[int]
-    rhs: Optional[int]
-    conclusion: str
-    notes: str = ""
+class TheoremVerdict(Record):
+    """One check's outcome: hypotheses as (name, status) pairs, both sides of
+    the comparison (None where not computed), and the conclusion."""
+
+    __slots__ = ("theorem_id", "instance", "hypotheses", "lhs", "rhs", "conclusion", "notes")
+
+    def __init__(self, theorem_id, instance, hypotheses, lhs, rhs, conclusion, notes=""):
+        self.theorem_id = theorem_id
+        self.instance = instance
+        self.hypotheses = hypotheses
+        self.lhs = lhs
+        self.rhs = rhs
+        self.conclusion = conclusion
+        self.notes = notes
 
     def to_dict(self):
         return {
@@ -434,6 +459,14 @@ def check_general_bound(inst, rng=None):
     return _finish(tid, inst.name, hyps, lhs, rhs, lhs <= rhs)
 
 
+def _no_linear_sop(tid, name, exc):
+    """The verdict of a check that needs a linear sop its field does not have."""
+    return TheoremVerdict(
+        tid, name, [("linear sop over the field", UNVERIFIED)], None, None,
+        NOT_APPLICABLE, str(exc),
+    )
+
+
 def min_mult_conditions(A, rng=None):
     """The four minimal-multiplicity conditions, each decided independently."""
     return _min_mult_conditions(RingRoute(A, rng))
@@ -475,10 +508,7 @@ def check_min_mult_equivalences(A, rng=None, name=None):
     try:
         conds = min_mult_conditions(A, rng)
     except NoLinearParametersError as exc:
-        return TheoremVerdict(
-            tid, name, [("linear sop over the field", UNVERIFIED)], None, None,
-            NOT_APPLICABLE, str(exc),
-        )
+        return _no_linear_sop(tid, name, exc)
     values = list(conds.values())
     agree = all(values) or not any(values)
     hyps = [("standard graded", VERIFIED)]
@@ -500,6 +530,13 @@ def check_min_mult_descent(inst, rng=None):
             tid, inst.name, [("standard gradings", VIOLATED)], None, None,
             NOT_APPLICABLE, "weighted grading",
         )
+    try:
+        return _min_mult_descent(tid, inst, rng)
+    except NoLinearParametersError as exc:
+        return _no_linear_sop(tid, inst.name, exc)
+
+
+def _min_mult_descent(tid, inst, rng):
     ra, rb = RingRoute(inst.A, rng), RingRoute(inst.B, rng)
     if not all(_min_mult_conditions(rb).values()):
         return TheoremVerdict(
@@ -543,6 +580,13 @@ def check_mcm_quotient(inst, rng=None):
             tid, inst.name, [("proper extension", VIOLATED)], None, None,
             NOT_APPLICABLE, "A = B",
         )
+    try:
+        return _mcm_quotient(tid, inst, rng)
+    except NoLinearParametersError as exc:
+        return _no_linear_sop(tid, inst.name, exc)
+
+
+def _mcm_quotient(tid, inst, rng):
     hyps = _common_hypotheses(inst)
     hyps.append(("proper extension", USER_ASSERTED))
     ra, rb = RingRoute(inst.A, rng), RingRoute(inst.B, rng)

@@ -170,6 +170,30 @@ def test_cli_minmult_without_a_linear_sop_is_not_applicable(tmp_path):
     assert "GF(2)" in verdict["notes"] and "60 draws" in verdict["notes"]
 
 
+@pytest.mark.parametrize("check", ["mcm-quotient", "minmult-descent"])
+def test_cli_instance_check_without_a_linear_sop_is_not_applicable(tmp_path, check):
+    script = tmp_path / "f.gi"
+    script.write_text(
+        "ring S over GF(2) vars x:1, y:1;\n"
+        "ring T over GF(2) vars u:1, v:1, w:1;\n"
+        "ideal A in S = x*y*(x+y);\n"
+        "ideal B in T = u*v*(u+v);\n"
+        "map incl : A -> B = u, v;\n"
+        "instance t = (A, B, incl) domain;\n"
+    )
+    r = _run("check", "--script", str(script), check, "t", "--json")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    jsonschema.validate(doc, SCHEMA)
+    verdict = doc["verdicts"][0]
+    assert verdict["theorem"] == check
+    assert verdict["conclusion"] == "not-applicable"
+    assert verdict["hypotheses"] == [
+        {"name": "linear sop over the field", "status": "unverified"}
+    ]
+    assert verdict["notes"] == "no linear system of parameters found over GF(2) in 60 draws"
+
+
 def test_cli_veronese_and_frobenius():
     r = _run("veronese", "A", "2", "--script", str(PINCHPOINT), "--json")
     assert r.returncode == 0
