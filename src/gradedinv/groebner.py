@@ -1,8 +1,18 @@
 """Buchberger engine and the ideal-theoretic toolkit.
 
-Reduced Groebner bases with normal pair selection and Gebauer-Moeller
-pruning, multivariate division, elimination, colon ideals, saturation,
-intersections, and kernels of graded ring maps via graph ideals.
+One Buchberger engine serves ideals and submodules of free modules: one
+reducer (`_reduce`), one Gebauer-Moeller pair update (`_update_pairs`) and
+one pair loop (`_buchberger`) with normal pair selection.  They run on term
+dicts {term: coeff} through a `_TermOps`.  For ideals the terms are
+monomials and the operations are the `core` monomial functions with the
+order's key.  For modules (`modules._vector_ops`) the terms are (component,
+monomial) pairs ordered position-over-term; leads in different components
+have no lcm, and Buchberger's coprime criterion is off, since it does not
+hold for modules.
+
+Around it: reduced Groebner bases, multivariate division, elimination,
+colon ideals, saturation, intersections, and kernels of graded ring maps
+via graph ideals.
 """
 
 from .core import (
@@ -22,10 +32,9 @@ from .core import (
 class GroebnerBasis:
     """A reduced Groebner basis, sorted by decreasing lead monomial."""
 
-    def __init__(self, generators, order, reduced=True):
+    def __init__(self, generators, order):
         self.generators = tuple(generators)
         self.order = order
-        self.reduced = reduced
         self._leads = tuple(g.lead(order)[0] for g in self.generators)
 
     def __iter__(self):
@@ -42,93 +51,144 @@ class GroebnerBasis:
         return "GroebnerBasis(%s)" % (", ".join(map(repr, self.generators)))
 
 
-def _sugarless_reduce(f, basis, leads, order):
-    """Full remainder of f on division by basis (lead monomials precomputed)."""
-    ring = f.ring
-    fld = ring.field
+# ---------------------------------------------------------------------------
+# The engine.
+
+
+class _TermOps:
+    """What the engine needs to know about terms.
+
+    key(t) orders terms (larger key, larger term); div(t, s) is the
+    monomial q with shift(s, q) == t, or None; lcm(s, t) is None when the
+    terms have no common multiple; coprime(s, t) is true when the pair
+    (s, t) may be skipped by Buchberger's first criterion.  Pairs are
+    selected by select(lcm), smallest first.
+    """
+
+    __slots__ = ("field", "key", "div", "shift", "lcm", "divides", "coprime", "select")
+
+    def __init__(self, field, key, div, shift, lcm, divides, coprime, select):
+        self.field = field
+        self.key = key
+        self.div = div
+        self.shift = shift
+        self.lcm = lcm
+        self.divides = divides
+        self.coprime = coprime
+        self.select = select
+
+
+def _mono_coprime(a, b):
+    return not any(x and y for x, y in zip(a, b))
+
+
+def _monomial_ops(field, order):
+    return _TermOps(
+        field, order.key, mono_div, mono_mul, mono_lcm, mono_divides, _mono_coprime, order.key
+    )
+
+
+def _subtract(work, g, lead, q, factor, ops):
+    """work -= factor * q * (g minus its lead term), dropping cancelled terms."""
+    fld, shift = ops.field, ops.shift
+    for t, c in g.items():
+        if t == lead:
+            continue
+        u = shift(t, q)
+        s = fld.sub(work.get(u, fld.zero()), fld.mul(factor, c))
+        if s:
+            work[u] = s
+        else:
+            work.pop(u, None)
+
+
+def _reduce(f, basis, leads, ops):
+    """Full remainder of the term dict f on division by basis."""
+    key, div, fld = ops.key, ops.div, ops.field
     remainder = {}
-    work = dict(f.terms)
-    key = order.key
+    work = dict(f)
     while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for g, lm in zip(basis, leads):
-            q = mono_div(m, lm)
+        t = max(work, key=key)
+        c = work.pop(t)
+        for g, lead in zip(basis, leads):
+            q = div(t, lead)
             if q is not None:
-                lc = g.terms[lm]
-                factor = fld.div(c, lc)
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
-                    t = mono_mul(gm, q)
-                    s = fld.sub(work.get(t, fld.zero()), fld.mul(factor, gc))
-                    if s:
-                        work[t] = s
-                    else:
-                        work.pop(t, None)
+                _subtract(work, g, lead, q, fld.div(c, g[lead]), ops)
                 break
         else:
-            remainder[m] = c
-    return Polynomial(ring, remainder)
+            remainder[t] = c
+    return remainder
+
+
+def _update_pairs(leads, P, ops):
+    """Gebauer-Moeller update of the pairs {(a, b): lcm} for the newest lead."""
+    lcm, divides = ops.lcm, ops.divides
+    j = len(leads) - 1
+    lj = leads[j]
+    for (a, b), L in list(P.items()):
+        if divides(lj, L) and lcm(leads[a], lj) != L and lcm(leads[b], lj) != L:
+            del P[(a, b)]
+    by_lcm = {}
+    for i in range(j):
+        L = lcm(leads[i], lj)
+        if L is not None:
+            by_lcm.setdefault(L, []).append(i)
+    kept_lcms = []
+    for L in sorted(by_lcm, key=ops.select):
+        if not any(divides(L2, L) for L2 in kept_lcms):
+            kept_lcms.append(L)
+    for L in kept_lcms:
+        # Buchberger's first criterion: skip coprime lead pairs.
+        if any(ops.coprime(leads[i], lj) for i in by_lcm[L]):
+            continue
+        P[(min(by_lcm[L]), j)] = L
+
+
+def _buchberger(gens, ops):
+    """Groebner basis of the nonzero term dicts gens: (monic basis, leads)."""
+    fld, key, select = ops.field, ops.key, ops.select
+    G, leads, P = [], [], {}
+
+    def add(f):
+        lead = max(f, key=key)
+        inv = fld.inv(f[lead])
+        G.append({t: fld.mul(c, inv) for t, c in f.items()})
+        leads.append(lead)
+        _update_pairs(leads, P, ops)
+
+    for f in gens:
+        add(f)
+    while P:
+        # normal strategy: smallest lcm first
+        i, j = pair = min(P, key=lambda p: select(P[p]))
+        L = P.pop(pair)
+        q = ops.div(L, leads[i])
+        s = {ops.shift(t, q): c for t, c in G[i].items() if t != leads[i]}
+        _subtract(s, G[j], leads[j], ops.div(L, leads[j]), fld.one(), ops)
+        r = _reduce(s, G, leads, ops)
+        if r:
+            add(r)
+    return G, leads
+
+
+def _interreduce(G, leads, ops):
+    """Minimalize and autoreduce a monic Groebner basis; sorted by decreasing lead."""
+    idx = sorted(range(len(G)), key=lambda i: ops.key(leads[i]))
+    minimal = []
+    for i in idx:
+        if not any(ops.divides(leads[k], leads[i]) for k in minimal):
+            minimal.append(i)
+    reduced = []
+    for i in reversed(minimal):
+        others = [k for k in minimal if k != i]
+        reduced.append(_reduce(G[i], [G[k] for k in others], [leads[k] for k in others], ops))
+    return reduced
 
 
 def normal_form(f, gb):
     """Remainder of f modulo gb; no remainder term is divisible by a lead."""
-    return _sugarless_reduce(f, gb.generators, gb.lead_monomials, gb.order)
-
-
-def _spoly(f, g, order):
-    lmf, lcf = f.lead(order)
-    lmg, lcg = g.lead(order)
-    lcm = mono_lcm(lmf, lmg)
-    fld = f.ring.field
-    a = f.mul_term(mono_div(lcm, lmf), fld.inv(lcf))
-    b = g.mul_term(mono_div(lcm, lmg), fld.inv(lcg))
-    return a - b
-
-
-def _update_pairs(G, leads, P, j, order):
-    """Gebauer-Moeller update after appending generator j."""
-    lmf = leads[j]
-    P = {
-        (a, b)
-        for (a, b) in P
-        if not mono_divides(lmf, mono_lcm(leads[a], leads[b]))
-        or mono_lcm(leads[a], lmf) == mono_lcm(leads[a], leads[b])
-        or mono_lcm(leads[b], lmf) == mono_lcm(leads[a], leads[b])
-    }
-    by_lcm = {}
-    for i in range(j):
-        by_lcm.setdefault(mono_lcm(leads[i], lmf), []).append(i)
-    kept_lcms = []
-    for L in sorted(by_lcm, key=order.key):
-        if not any(mono_divides(L2, L) for L2 in kept_lcms):
-            kept_lcms.append(L)
-    for L in kept_lcms:
-        # Buchberger's first criterion: skip coprime lead pairs.
-        if any(mono_mul(leads[i], lmf) == L for i in by_lcm[L]):
-            continue
-        P.add((min(by_lcm[L]), j))
-    return P
-
-
-def _interreduce(G, order):
-    """Minimalize and autoreduce a Groebner basis; output monic, sorted."""
-    G = [g for g in G if not g.is_zero()]
-    G.sort(key=lambda g: order.key(g.lead(order)[0]))
-    minimal = []
-    for g in G:
-        lm = g.lead(order)[0]
-        if not any(mono_divides(h.lead(order)[0], lm) for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        leads = [h.lead(order)[0] for h in others]
-        r = _sugarless_reduce(g, others, leads, order)
-        reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.lead(order)[0]), reverse=True)
-    return reduced
+    ops = _monomial_ops(f.ring.field, gb.order)
+    return Polynomial(f.ring, _reduce(f.terms, [g.terms for g in gb], gb.lead_monomials, ops))
 
 
 def groebner_basis(generators, order=DEGREVLEX):
@@ -143,29 +203,9 @@ def groebner_basis(generators, order=DEGREVLEX):
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
-
-    G = []
-    leads = []
-    P = set()
-    for f in gens:
-        G.append(f.monic(order))
-        leads.append(f.lead(order)[0])
-        P = _update_pairs(G, leads, P, len(G) - 1, order)
-
-    while P:
-        # normal strategy: smallest lcm first
-        pair = min(P, key=lambda p: order.key(mono_lcm(leads[p[0]], leads[p[1]])))
-        P.discard(pair)
-        i, j = pair
-        s = _spoly(G[i], G[j], order)
-        r = _sugarless_reduce(s, G, leads, order)
-        if r.is_zero():
-            continue
-        G.append(r.monic(order))
-        leads.append(r.lead(order)[0])
-        P = _update_pairs(G, leads, P, len(G) - 1, order)
-
-    return GroebnerBasis(_interreduce(G, order), order)
+    ops = _monomial_ops(ring.field, order)
+    G, leads = _buchberger([g.terms for g in gens], ops)
+    return GroebnerBasis([Polynomial(ring, t) for t in _interreduce(G, leads, ops)], order)
 
 
 def ideal_membership(f, gb_or_gens, order=DEGREVLEX):

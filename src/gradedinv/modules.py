@@ -2,13 +2,23 @@
 
 Module terms are (component, monomial) pairs ordered position-over-term:
 lower component index dominates, ties broken by the ring's monomial order.
-Syzygies are computed by tagging: append a unit vector to each input,
-compute a module basis, and read off the elements supported only on tags.
+Module Groebner bases come from the one Buchberger engine in `groebner`,
+run on these terms (`_vector_ops`): Gebauer-Moeller pruning applies, the
+coprime criterion does not.  Syzygies are computed by tagging: append a
+unit vector to each input, compute a module basis, and read off the
+elements supported only on tags.
 """
 
-import heapq
-
-from .core import DEGREVLEX, Polynomial, mono_degree, mono_div, mono_lcm, mono_mul
+from .core import (
+    DEGREVLEX,
+    Polynomial,
+    mono_degree,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+)
+from .groebner import _buchberger, _reduce, _TermOps
 
 
 class ModuleVector:
@@ -106,50 +116,22 @@ def unit_vector(ring, rank, i):
     return ModuleVector(ring, rank, {(i, (0,) * ring.nvars): one})
 
 
-def _term_key(order):
-    def key(t):
-        i, m = t
-        return (-i, order.key(m))
-
-    return key
-
-
-def _lead(v, order):
-    k = max(v.terms, key=_term_key(order))
-    return k, v.terms[k]
-
-
-def _reduce_vector(v, basis, leads, order):
-    """Full remainder of v on division by basis vectors."""
-    fld = v.ring.field
-    key = _term_key(order)
-    remainder = {}
-    work = dict(v.terms)
-    while work:
-        t = max(work, key=key)
-        comp, m = t
-        c = work.pop(t)
-        for g, (lt, lc) in zip(basis, leads):
-            gcomp, gm = lt
-            if gcomp != comp:
-                continue
-            q = mono_div(m, gm)
-            if q is None:
-                continue
-            factor = fld.div(c, lc)
-            for (gi, gmm), gc in g.terms.items():
-                if (gi, gmm) == lt:
-                    continue
-                tt = (gi, mono_mul(gmm, q))
-                s = fld.sub(work.get(tt, fld.zero()), fld.mul(factor, gc))
-                if s:
-                    work[tt] = s
-                else:
-                    work.pop(tt, None)
-            break
-        else:
-            remainder[t] = c
-    return ModuleVector(v.ring, v.rank, remainder)
+def _vector_ops(field, order):
+    """The engine's operations on (component, monomial) terms, ordered
+    position-over-term.  Leads in different components have no lcm, and the
+    coprime criterion is off: it does not hold for modules.  Pairs are
+    selected by the order key of the lcm's monomial."""
+    mkey = order.key
+    return _TermOps(
+        field,
+        key=lambda t: (-t[0], mkey(t[1])),
+        div=lambda t, s: mono_div(t[1], s[1]) if t[0] == s[0] else None,
+        shift=lambda t, q: (t[0], mono_mul(t[1], q)),
+        lcm=lambda s, t: (s[0], mono_lcm(s[1], t[1])) if s[0] == t[0] else None,
+        divides=lambda s, t: s[0] == t[0] and mono_divides(s[1], t[1]),
+        coprime=lambda s, t: False,
+        select=lambda t: mkey(t[1]),
+    )
 
 
 def module_groebner(vectors, order=DEGREVLEX):
@@ -157,56 +139,9 @@ def module_groebner(vectors, order=DEGREVLEX):
     vecs = [v for v in vectors if not v.is_zero()]
     if not vecs:
         return []
-    ring = vecs[0].ring
-    fld = ring.field
-
-    G = []
-    leads = []
-    for v in vecs:
-        lt, lc = _lead(v, order)
-        G.append(v.scale(fld.inv(lc)))
-        leads.append((lt, fld.one()))
-
-    # same-component pairs, smallest lcm first: (order key of lcm, i, j)
-    pairs = []
-
-    def add_pair(i, j):
-        lcm = mono_lcm(leads[i][0][1], leads[j][0][1])
-        heapq.heappush(pairs, (order.key(lcm), i, j))
-
-    for i in range(len(G)):
-        for j in range(i):
-            if leads[i][0][0] == leads[j][0][0]:
-                add_pair(j, i)
-
-    while pairs:
-        _key, i, j = heapq.heappop(pairs)
-        (ci, mi), _lci = leads[i]
-        (cj, mj), _lcj = leads[j]
-        lcm = mono_lcm(mi, mj)
-        s = G[i].mul_term(mono_div(lcm, mi), fld.one()) - G[j].mul_term(
-            mono_div(lcm, mj), fld.one()
-        )
-        r = _reduce_vector(s, G, leads, order)
-        if r.is_zero():
-            continue
-        lt, lc = _lead(r, order)
-        G.append(r.scale(fld.inv(lc)))
-        leads.append((lt, fld.one()))
-        k = len(G) - 1
-        for a in range(k):
-            if leads[a][0][0] == lt[0]:
-                add_pair(a, k)
-    return G
-
-
-def module_normal_form(v, gb, order=DEGREVLEX):
-    leads = [(_lead(g, order)[0], g.terms[_lead(g, order)[0]]) for g in gb]
-    return _reduce_vector(v, gb, leads, order)
-
-
-def module_membership(v, gb, order=DEGREVLEX):
-    return module_normal_form(v, gb, order).is_zero()
+    ring, rank = vecs[0].ring, vecs[0].rank
+    G, _leads = _buchberger([v.terms for v in vecs], _vector_ops(ring.field, order))
+    return [ModuleVector(ring, rank, g) for g in G]
 
 
 def syzygy_module(vectors, rank, order=DEGREVLEX):
@@ -260,8 +195,11 @@ def minimal_generators(vectors, rank, shifts=None, order=DEGREVLEX, modulo=()):
     base = list(modulo)
     gb = module_groebner(base, order) if base else []
     for v in vecs:
-        if gb and module_membership(v, gb, order):
-            continue
+        if gb:
+            ops = _vector_ops(v.ring.field, order)
+            basis = [g.terms for g in gb]
+            if not _reduce(v.terms, basis, [max(g, key=ops.key) for g in basis], ops):
+                continue
         kept.append(v)
         gb = module_groebner(base + kept, order)
     return kept

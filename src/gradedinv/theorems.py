@@ -25,7 +25,11 @@ route: one parameter-colength certificate decides CM (standard gradings;
 weighted ones are still resolved), and a and reg are read off the Hilbert
 series (a = deg N - sum w, reg = a + dim).  Both identities are exact for
 certified-CM algebras and are cross-checked against the resolution route on
-every small instance; a or reg of a large non-CM ring raises ValueError.
+every small instance.  Where the parameter route cannot answer (a, reg or
+depth of a non-CM ring, or no linear system of parameters over a small
+field), a ring with at most RESOLUTION_VARIABLE_LIMIT variables is resolved
+after all and its report's route says "resolution"; beyond that limit, a or
+reg of a non-CM ring raises ValueError.
 """
 
 import random
@@ -56,6 +60,7 @@ from .groebner import (
 )
 from .hilbert import hilbert_series, krull_dimension, multiplicity
 from .resolution import (
+    RESOLUTION_VARIABLE_LIMIT,
     NoLinearParametersError,
     a_invariant,
     cm_certificate_by_parameters,
@@ -203,18 +208,30 @@ def _finish(theorem_id, instance, hyps, lhs, rhs, ok, notes=""):
 class RingRoute:
     """The route by which the invariants of one presentation are computed.
 
-    `route` is decided once, from the variable count.  The Hilbert series,
-    the resolution and the resolution-route a are kept on the presentation
-    itself, so every route on the same presentation, in any check, shares
-    them.  The parameter certificate draws from this route's rng, so
-    is_cm (and what follows from it on the parameter route) is kept on the
-    route only: two routes on one ring each sample their own certificate.
+    `route` starts from the variable count.  Where the parameter route
+    cannot answer (depth, a or reg of a non-CM ring, or no linear system of
+    parameters over the field), a ring with at most
+    RESOLUTION_VARIABLE_LIMIT variables switches to the resolution route
+    for good, and `route` says so; a larger ring still raises.  The Hilbert
+    series, the resolution and the resolution-route a are kept on the
+    presentation itself, so every route on the same presentation, in any
+    check, shares them.  The parameter certificate draws from this route's
+    rng, so is_cm (and what follows from it on the parameter route) is kept
+    on the route only: two routes on one ring each sample their own
+    certificate.
     """
 
     def __init__(self, A, rng=None):
         self.A = A
         self.rng = rng or random.Random(0)
         self.route = RESOLUTION if A.ring.nvars <= SMALL_RING_VARS else PARAMETER_CERTIFIED
+
+    def _resolve_instead(self, error):
+        """Take the answers the parameter route cannot give from the
+        resolution from now on; raise `error` if the ring is too large."""
+        if self.A.ring.nvars > RESOLUTION_VARIABLE_LIMIT:
+            raise error
+        self.route = RESOLUTION
 
     @property
     def hilbert(self):
@@ -230,25 +247,33 @@ class RingRoute:
 
     @cached_property
     def depth(self):
-        """Auslander-Buchsbaum depth; a large ring's is known only when CM."""
-        if self.route == RESOLUTION:
-            return self.A.ring.nvars - self.resolution.length
-        return self.dim if self.is_cm else None
+        """Auslander-Buchsbaum depth; a ring too large to resolve has one
+        only when CM."""
+        if self.route == PARAMETER_CERTIFIED:
+            if self.is_cm:
+                return self.dim
+            if self.A.ring.nvars > RESOLUTION_VARIABLE_LIMIT:
+                return None
+            self.route = RESOLUTION
+        return self.A.ring.nvars - self.resolution.length
 
     @cached_property
     def is_cm(self):
-        if self.route == RESOLUTION or not self.A.is_standard_graded:
-            return self.A.ring.nvars - self.resolution.length == self.dim
-        return cm_certificate_by_parameters(self.A, self.rng)
+        if self.route == PARAMETER_CERTIFIED and self.A.is_standard_graded:
+            try:
+                return cm_certificate_by_parameters(self.A, self.rng)
+            except NoLinearParametersError as exc:
+                self._resolve_instead(exc)
+        return self.A.ring.nvars - self.resolution.length == self.dim
 
     @cached_property
     def a(self):
+        if self.route == PARAMETER_CERTIFIED and not self.is_cm:
+            self._resolve_instead(
+                ValueError("a-invariant of a large non-CM presentation is out of desk-scale reach")
+            )
         if self.route == RESOLUTION:
             return a_invariant(self.A)
-        if not self.is_cm:
-            raise ValueError(
-                "a-invariant of a large non-CM presentation is out of desk-scale reach"
-            )
         return self.hilbert.fastpath_a_invariant()
 
     @cached_property
@@ -256,10 +281,12 @@ class RingRoute:
         """Castelnuovo-Mumford regularity; None for weighted gradings."""
         if not self.A.is_standard_graded:
             return None
+        if self.route == PARAMETER_CERTIFIED and not self.is_cm:
+            self._resolve_instead(
+                ValueError("regularity of a large non-CM presentation is out of reach")
+            )
         if self.route == RESOLUTION:
             return self.resolution.betti_table().regularity()
-        if not self.is_cm:
-            raise ValueError("regularity of a large non-CM presentation is out of reach")
         return self.a + self.dim
 
 

@@ -194,6 +194,34 @@ def test_cli_instance_check_without_a_linear_sop_is_not_applicable(tmp_path, che
     assert verdict["notes"] == "no linear system of parameters found over GF(2) in 60 draws"
 
 
+_SEVEN_VARS = "a:1, b:1, c:1, d:1, e:1, f:1, g:1"
+
+
+@pytest.mark.parametrize(
+    "field, ideal, expected",
+    [
+        # non-CM: the parameter route reads a only off a CM ring
+        ("QQ", "a*c, a*d, b*c, b*d", {"a_invariant": -5, "depth": 4, "is_cm": False}),
+        # CM, but no linear form over GF(2) is a parameter
+        ("GF(2)", "a*b*(a+b), c*d*(c+d)", {"a_invariant": -1, "depth": 5, "is_cm": True}),
+    ],
+)
+def test_cli_invariants_fall_back_to_the_resolution(tmp_path, field, ideal, expected):
+    # Seven variables start on the parameter route, which cannot answer
+    # here; the ring is small enough to resolve instead.
+    script = tmp_path / "g.gi"
+    script.write_text(
+        "ring S over %s vars %s;\nideal A in S = %s;\n" % (field, _SEVEN_VARS, ideal)
+    )
+    r = _run("invariants", "--script", str(script), "A", "--json")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    jsonschema.validate(doc, SCHEMA)
+    inv = doc["instances"][0]["invariants"]
+    assert inv["route"] == "resolution" and inv["dim"] == 5
+    assert {k: inv[k] for k in expected} == expected
+
+
 def test_cli_veronese_and_frobenius():
     r = _run("veronese", "A", "2", "--script", str(PINCHPOINT), "--json")
     assert r.returncode == 0

@@ -4,10 +4,20 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import koszul_betti
 from gradedinv.constructions import veronese_presentation
 from gradedinv.groebner import presentation_groebner_basis
-from gradedinv.core import QQ, GF, GradedPolyRing, GradedQuotientPresentation, free_presentation
+from gradedinv.core import (
+    QQ,
+    GF,
+    GradedPolyRing,
+    GradedQuotientPresentation,
+    Polynomial,
+    free_presentation,
+)
 from gradedinv.hilbert import hilbert_series, krull_dimension, multiplicity
 from gradedinv.resolution import (
     FreeResolution,
@@ -25,6 +35,7 @@ from gradedinv.resolution import (
     regularity,
     singular_locus_dimension,
 )
+from gradedinv.theorems import builtin_instances, builtin_rings
 
 
 def _hypersurface():
@@ -78,6 +89,60 @@ def test_rational_normal_curve_is_eagon_northcott(d):
     expected = {(0, 0): 1}
     expected.update({(i, i + 1): i * comb(d, i + 1) for i in range(1, d)})
     assert bt.entries == expected
+
+
+@st.composite
+def _homogeneous_ideals(draw):
+    """(variable count, generators): 1-4 forms of degree 1-3 in 2-4 variables,
+    each generator a dict exponent -> nonzero coefficient."""
+    nvars = draw(st.integers(2, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        deg = draw(st.integers(1, 3))
+        monos = st.lists(
+            st.integers(0, nvars - 1), min_size=deg, max_size=deg
+        ).map(lambda vs: tuple(vs.count(i) for i in range(nvars)))
+        coeffs = st.integers(1, 32002)
+        gens.append(draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3)))
+    return nvars, gens
+
+
+def _low_degree_betti(bt, bound):
+    return {(i, j): b for (i, j), b in bt.entries.items() if j <= bound}
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideal=_homogeneous_ideals())
+def test_betti_table_matches_koszul_homology(ideal):
+    # Koszul homology sees each beta_ij on its own, so errors in adjacent
+    # homological degrees cannot cancel as in the alternating sum.
+    nvars, gens = ideal
+    R = GradedPolyRing(GF(32003), tuple("x%d" % i for i in range(nvars)))
+    polys = [Polynomial(R, {m: R.field.coerce(c) for m, c in g.items()}) for g in gens]
+    bt = betti_table(GradedQuotientPresentation(R, polys))
+    assert _low_degree_betti(bt, 7) == koszul_betti(R, polys, 7)
+
+
+def _suite_rings(max_vars):
+    rings = list(builtin_rings())
+    for inst in builtin_instances():
+        rings += [inst.A, inst.B]
+    seen, out = set(), []
+    for A in rings:
+        key = (A.ring, A.ideal_gens)
+        if A.ring.nvars <= max_vars and key not in seen:
+            seen.add(key)
+            out.append(A)
+    return out
+
+
+def test_suite_rings_betti_tables_match_koszul_homology():
+    rings = _suite_rings(5)
+    assert len(rings) >= 15
+    for A in rings:
+        bt = betti_table(A)
+        bound = max(j for (_i, j) in bt.entries) + 1
+        assert bt.entries == koszul_betti(A.ring, A.ideal_gens, bound), repr(A)
 
 
 def test_zero_ring_has_no_resolution():
